@@ -23,10 +23,10 @@ import (
 // Workloads are generated once and shared across benchmarks.
 var (
 	onceWorkloads sync.Once
-	yeastDB       *Columnar // Figure 5
-	ncbiDB        *Columnar // Figure 6
-	thrombinDB    *Columnar // Figure 7
-	webviewDB     *Columnar // Figure 8
+	yeastDB       *Database // Figure 5
+	ncbiDB        *Database // Figure 6
+	thrombinDB    *Database // Figure 7
+	webviewDB     *Database // Figure 8
 )
 
 func workloads() {
@@ -41,7 +41,7 @@ func workloads() {
 // benchAlgos are the algorithms shown in Figures 5-8.
 var benchAlgos = []Algorithm{IsTa, CarpenterTable, CarpenterLists, FPClose, LCM}
 
-func benchFigure(b *testing.B, db *Columnar, minsup int) {
+func benchFigure(b *testing.B, db *Database, minsup int) {
 	for _, algo := range benchAlgos {
 		b.Run(string(algo), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {

@@ -203,11 +203,11 @@ func main() {
 	if err != nil {
 		failUsage(err)
 	}
-	// Named input keeps its name table for the output; generated and
-	// columnar sources carry numeric codes only.
+	// Named input keeps its name table for the output; numeric and
+	// generated stores carry none.
 	var names []string
 	if d, ok := db.(*fim.Database); ok {
-		names = d.Names
+		names = d.Names()
 	}
 	minsup := int(*support)
 	if *support > 0 && *support < 1 {

@@ -32,7 +32,7 @@ func main() {
 	)
 	flag.Parse()
 
-	var db *fim.Columnar
+	var db *fim.Database
 	switch *kind {
 	case "yeast":
 		db = fim.GenYeast(*scale, *seed)

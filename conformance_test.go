@@ -11,7 +11,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/naive"
 	"repro/internal/result"
 	"repro/internal/txdb"
@@ -36,7 +35,7 @@ func conformanceDB(rng *rand.Rand) *Database {
 // oracle computes the expected pattern set for a target with the naive
 // brute-force enumerations (transaction subsets for closed, item subsets
 // for all, closed + subset filtering for maximal).
-func oracle(t *testing.T, db *dataset.Database, target Target, minsup int) *ResultSet {
+func oracle(t *testing.T, db *Database, target Target, minsup int) *ResultSet {
 	t.Helper()
 	switch target {
 	case TargetClosed:
@@ -75,7 +74,7 @@ func TestConformance(t *testing.T) {
 			}
 			for trial := 0; trial < trials; trial++ {
 				db := conformanceDB(rng)
-				minsup := []int{1, 2, 3, len(db.Trans)/2 + 1}[trial%4]
+				minsup := []int{1, 2, 3, db.NumTx()/2 + 1}[trial%4]
 				for _, target := range info.Targets {
 					want := oracle(t, db, target, minsup)
 					var got ResultSet
@@ -86,7 +85,7 @@ func TestConformance(t *testing.T) {
 					got.Sort()
 					if !got.Equal(want) {
 						t.Fatalf("%s/%s mismatch (minsup=%d db=%v):\n%s",
-							info.Name, target, minsup, db.Trans, got.Diff(want, 10))
+							info.Name, target, minsup, db, got.Diff(want, 10))
 					}
 				}
 			}
@@ -121,7 +120,7 @@ func TestConformanceParallel(t *testing.T) {
 					got.Sort()
 					if !got.Equal(want) {
 						t.Fatalf("%s (workers=%d) mismatch (minsup=%d db=%v):\n%s",
-							info.Name, workers, minsup, db.Trans, got.Diff(want, 10))
+							info.Name, workers, minsup, db, got.Diff(want, 10))
 					}
 				}
 			}
@@ -261,7 +260,7 @@ func TestStatsPopulated(t *testing.T) {
 		if stats.Patterns != int64(got.Len()) {
 			t.Errorf("%s: stats.Patterns = %d, reported %d", info.Name, stats.Patterns, got.Len())
 		}
-		if stats.Transactions != len(db.Trans) || stats.Items != db.Items {
+		if stats.Transactions != db.NumTx() || stats.Items != db.NumItems() {
 			t.Errorf("%s: db shape not echoed: %+v", info.Name, stats)
 		}
 		if stats.PreppedTransactions > stats.Transactions || stats.PreppedItems > stats.Items {

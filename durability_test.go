@@ -20,6 +20,7 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/itemset"
 	"repro/internal/persist"
+	"repro/internal/txdb"
 )
 
 // durStream builds a reproducible transaction stream.
@@ -41,7 +42,7 @@ func durStream(items, n int, seed int64) []ItemSet {
 // store recovers into.
 func durOracle(t *testing.T, items int, prefix []ItemSet) map[int]*ResultSet {
 	t.Helper()
-	db := &Database{Items: items, Trans: prefix}
+	db := universe(items, prefix...)
 	n := len(prefix)
 	out := make(map[int]*ResultSet)
 	for _, minsup := range []int{1, 2, (n + 1) / 2, n} {
@@ -244,15 +245,25 @@ func TestOpenDurableFacade(t *testing.T) {
 	}
 }
 
+// universe builds a database over items with the given rows.
+func universe(items int, rows ...ItemSet) *Database {
+	b := txdb.NewBuilder(len(rows), 0)
+	b.SetNumItems(items)
+	for _, t := range rows {
+		b.AddSet(t)
+	}
+	return b.Build()
+}
+
 // TestSnapshotRoundTripDatasets round-trips IncrementalMiner snapshots
 // across generated benchmark-family datasets and hand-built edge cases,
 // checking the restored miner's closed sets at several thresholds and
 // that it keeps mining identically after restore.
 func TestSnapshotRoundTripDatasets(t *testing.T) {
 	dbs := map[string]Source{
-		"empty":       &Database{Items: 5, Trans: nil},
-		"single":      &Database{Items: 5, Trans: []ItemSet{itemset.New(0, 2, 4)}},
-		"empty-trans": &Database{Items: 3, Trans: []ItemSet{{}, {}}},
+		"empty":       universe(5),
+		"single":      universe(5, itemset.New(0, 2, 4)),
+		"empty-trans": universe(3, ItemSet{}, ItemSet{}),
 		"quest": GenQuest(QuestConfig{
 			Items: 40, Transactions: 120, AvgLen: 8,
 			Patterns: 10, AvgPatternLen: 4, Seed: 3,

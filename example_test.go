@@ -54,7 +54,7 @@ func ExampleRules() {
 	if err != nil {
 		panic(err)
 	}
-	rules := fim.Rules(closed, len(db.Trans), fim.RuleOptions{MinConfidence: 1.0})
+	rules := fim.Rules(closed, db.NumTx(), fim.RuleOptions{MinConfidence: 1.0})
 	for _, r := range rules[:2] {
 		fmt.Printf("%v -> %v (conf %.0f%%)\n", r.Antecedent, r.Consequent, 100*r.Confidence)
 	}
@@ -86,7 +86,7 @@ func ExampleTranspose() {
 	// many-items regime that the intersection algorithms target.
 	db := fim.NewDatabase([][]int{{0, 1}, {1, 2}})
 	tr := fim.Transpose(db)
-	fmt.Println(len(db.Trans), "x", db.Items, "->", tr.NumTx(), "x", tr.NumItems())
+	fmt.Println(db.NumTx(), "x", db.NumItems(), "->", tr.NumTx(), "x", tr.NumItems())
 	// Output:
 	// 2 x 3 -> 3 x 2
 }
@@ -94,7 +94,7 @@ func ExampleTranspose() {
 func ExampleSupportIndex() {
 	db := exampleDB()
 	closed, _ := fim.MineClosed(db, 1)
-	idx := fim.NewSupportIndex(closed, len(db.Trans))
+	idx := fim.NewSupportIndex(closed, db.NumTx())
 	// {a,c} is not closed, but its support is recoverable from the closed
 	// collection (§2.3 of the paper).
 	supp, ok := idx.Support(fim.NewItemSet(0, 2))

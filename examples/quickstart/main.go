@@ -48,7 +48,7 @@ func main() {
 
 	// Closed sets preserve all support information, so association rules
 	// can be derived from them directly.
-	rules := fim.Rules(closed, len(db.Trans), fim.RuleOptions{MinConfidence: 0.7})
+	rules := fim.Rules(closed, db.NumTx(), fim.RuleOptions{MinConfidence: 0.7})
 	fmt.Printf("\nassociation rules with confidence >= 0.7: %d\n", len(rules))
 	for _, r := range rules {
 		fmt.Printf("  %s -> %s  (support %d, confidence %.2f, lift %.2f)\n",

@@ -49,20 +49,16 @@ type (
 	Item = itemset.Item
 	// ItemSet is a canonical (strictly ascending) set of item codes.
 	ItemSet = itemset.Set
-	// Database is the row-oriented transaction database of the I/O layer
-	// (FIMI reading/writing, item names). It implements Source, so it can
-	// be passed to every mining function; internally the miners convert it
-	// once into the flat columnar representation.
-	Database = dataset.Database
-	// Source is any transaction database representation the miners
-	// accept: a *Database, a *Columnar store, or any other implementation
-	// of the minimal read-only contract (NumItems/NumTx/Tx/Weight).
-	Source = txdb.Source
-	// Columnar is the flat, immutable columnar transaction store every
+	// Database is the flat, immutable columnar transaction store every
 	// miner runs on (see DESIGN.md §5g): one items array, one offsets
-	// array, optional row weights. The generators produce it directly,
-	// and the parallel engines shard it zero-copy.
-	Columnar = txdb.DB
+	// array, optional row weights and an optional item names column.
+	// NewDatabase, the readers and the generators all produce it, and the
+	// parallel engines shard it zero-copy.
+	Database = txdb.DB
+	// Source is any transaction database representation the miners
+	// accept: a *Database or any other implementation of the minimal
+	// read-only contract (NumItems/NumTx/Tx/Weight).
+	Source = txdb.Source
 	// Pattern is a mined item set with its absolute support.
 	Pattern = result.Pattern
 	// ResultSet is a collected, comparable set of patterns.
@@ -488,13 +484,7 @@ func MineApriori(db Source, minSupport int) (*ResultSet, error) {
 // NewDatabase builds a database from rows of item codes. Rows are
 // canonicalized (sorted, duplicates dropped); the item universe is the
 // smallest one containing every item.
-func NewDatabase(rows [][]int) *Database {
-	trans := make([]ItemSet, len(rows))
-	for i, r := range rows {
-		trans[i] = itemset.FromInts(r...)
-	}
-	return dataset.New(trans, 0)
-}
+func NewDatabase(rows [][]int) *Database { return txdb.FromInts(rows...) }
 
 // NewItemSet builds a canonical item set from item codes.
 func NewItemSet(items ...int) ItemSet { return itemset.FromInts(items...) }
@@ -548,19 +538,14 @@ func ReadFileLimited(path string, lim ReadLimits) (*Database, error) {
 	return dataset.ReadFileLimited(path, lim)
 }
 
-// Write renders db in FIMI format to w. A *Database with a name table is
-// written with item names; every other source is written with numeric
-// codes, each row repeated per its weight so the multiset round-trips.
-func Write(w io.Writer, db Source) error {
-	if d, ok := db.(*Database); ok {
-		return dataset.Write(w, d)
-	}
-	return dataset.WriteSource(w, db)
-}
+// Write renders db in FIMI format to w. A *Database with a names column
+// is written with item names, every other source with numeric codes; each
+// row is repeated per its weight so the multiset round-trips.
+func Write(w io.Writer, db Source) error { return dataset.Write(w, db) }
 
 // Transpose exchanges the roles of items and transactions (§4 of the
 // paper: the gene-expression duality).
-func Transpose(db Source) *Columnar { return txdb.FromSource(db).Transpose() }
+func Transpose(db Source) *Database { return txdb.FromSource(db).Transpose() }
 
 // Support counts the transactions of db containing items.
 func Support(db Source, items ItemSet) int { return result.Support(db, items) }

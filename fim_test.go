@@ -213,7 +213,7 @@ func TestRulesFromClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rs := Rules(closed, len(db.Trans), RuleOptions{MinConfidence: 0.8})
+	rs := Rules(closed, db.NumTx(), RuleOptions{MinConfidence: 0.8})
 	if len(rs) == 0 {
 		t.Fatal("no rules")
 	}
@@ -250,7 +250,7 @@ func TestTransposeAndGenerators(t *testing.T) {
 	if tr.NumTx() != 30 {
 		t.Fatalf("transposed rows = %d", tr.NumTx())
 	}
-	for _, gen := range []*Columnar{
+	for _, gen := range []*Database{
 		GenYeast(0.03, 1), GenNCBI60(0.03, 2), GenThrombin(0.003, 3), GenWebView(0.02, 4),
 	} {
 		if err := txdb.Validate(gen); err != nil {
@@ -287,9 +287,9 @@ func TestNewItemSetAndSupport(t *testing.T) {
 
 func TestIncrementalMinerFacade(t *testing.T) {
 	db := paperExample()
-	m := NewIncrementalMiner(db.Items)
-	for _, tr := range db.Trans {
-		if err := m.AddSet(tr); err != nil {
+	m := NewIncrementalMiner(db.NumItems())
+	for k := 0; k < db.NumTx(); k++ {
+		if err := m.AddSet(db.Tx(k)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -309,7 +309,7 @@ func TestSupportIndexFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := NewSupportIndex(closed, len(db.Trans))
+	idx := NewSupportIndex(closed, db.NumTx())
 	for _, tc := range []struct {
 		items ItemSet
 		want  int

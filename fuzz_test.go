@@ -29,7 +29,7 @@ func FuzzMinerAgreement(f *testing.F) {
 		}
 		if !ista.Equal(&lcm) {
 			t.Fatalf("IsTa and LCM disagree (minsup=%d, db=%v):\n%s",
-				minsup, db.Trans, ista.Diff(&lcm, 10))
+				minsup, db, ista.Diff(&lcm, 10))
 		}
 		// The sharded parallel engine must reproduce the same set.
 		if err := Mine(db, Options{MinSupport: minsup, Algorithm: IsTa, Parallelism: 3}, par.Collect()); err != nil {
@@ -37,7 +37,7 @@ func FuzzMinerAgreement(f *testing.F) {
 		}
 		if !par.Equal(&ista) {
 			t.Fatalf("parallel IsTa disagrees (minsup=%d, db=%v):\n%s",
-				minsup, db.Trans, par.Diff(&ista, 10))
+				minsup, db, par.Diff(&ista, 10))
 		}
 		// Semantic spot checks on the agreed result.
 		for _, p := range ista.Patterns {

@@ -14,27 +14,27 @@ import (
 // GenYeast generates a yeast-compendium-like database in the Figure 5
 // orientation: few transactions (conditions), very many items
 // (gene/polarity pairs). Scale 1 approximates the paper's 300 × ~12,000.
-func GenYeast(scale float64, seed int64) *Columnar { return gendata.Yeast(scale, seed) }
+func GenYeast(scale float64, seed int64) *Database { return gendata.Yeast(scale, seed) }
 
 // GenNCBI60 generates an NCBI60-like database: 60 cell-line transactions
 // with items frequent in most of them (the Figure 6 regime).
-func GenNCBI60(scale float64, seed int64) *Columnar { return gendata.NCBI60(scale, seed) }
+func GenNCBI60(scale float64, seed int64) *Database { return gendata.NCBI60(scale, seed) }
 
 // GenThrombin generates a thrombin-like database: 64 transactions over a
 // very wide, sparse, block-correlated binary feature space (Figure 7).
 // Scale 1 gives the paper's 139,351 features.
-func GenThrombin(scale float64, seed int64) *Columnar { return gendata.Thrombin(scale, seed) }
+func GenThrombin(scale float64, seed int64) *Database { return gendata.Thrombin(scale, seed) }
 
 // GenWebView generates a transposed clickstream database like the
 // transposed BMS-WebView-1 of Figure 8.
-func GenWebView(scale float64, seed int64) *Columnar { return gendata.WebView(scale, seed) }
+func GenWebView(scale float64, seed int64) *Database { return gendata.WebView(scale, seed) }
 
 // QuestConfig parameterises GenQuest.
 type QuestConfig = gendata.QuestConfig
 
 // GenQuest generates a classic market-basket database (many transactions,
 // few items) in the spirit of the IBM Quest generator.
-func GenQuest(cfg QuestConfig) *Columnar { return gendata.Quest(cfg) }
+func GenQuest(cfg QuestConfig) *Database { return gendata.Quest(cfg) }
 
 // ExpressionConfig parameterises GenExpression.
 type ExpressionConfig = gendata.ExpressionConfig
@@ -59,7 +59,7 @@ const (
 // database with the paper's over-/under-expression thresholds: values
 // above hi become "over-expressed" items, values below -lo become
 // "under-expressed" items (the paper uses hi = lo = 0.2).
-func Discretize(m *ExpressionMatrix, hi, lo float64, orient Orientation) *Columnar {
+func Discretize(m *ExpressionMatrix, hi, lo float64, orient Orientation) *Database {
 	return gendata.Discretize(m, hi, lo, orient)
 }
 

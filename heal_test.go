@@ -10,7 +10,7 @@ import (
 
 // healDB is a workload large enough that every parallel shard grows a
 // prefix tree well past the injected fault thresholds below.
-func healDB() *Columnar {
+func healDB() *Database {
 	return GenQuest(QuestConfig{
 		Transactions: 500, Items: 40, AvgLen: 8, Patterns: 12, AvgPatternLen: 4, Seed: 31,
 	})

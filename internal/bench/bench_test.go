@@ -6,25 +6,25 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/dataset"
 	"repro/internal/gendata"
 	"repro/internal/itemset"
 	"repro/internal/txdb"
 )
 
-func smallDB() *dataset.Database {
+func smallDB() *txdb.DB {
 	rng := rand.New(rand.NewSource(42))
-	trans := make([]itemset.Set, 30)
-	for k := range trans {
+	b := txdb.NewBuilder(30, 0)
+	b.SetNumItems(20)
+	for k := 0; k < 30; k++ {
 		var t itemset.Set
 		for i := 0; i < 20; i++ {
 			if rng.Float64() < 0.3 {
 				t = append(t, itemset.Item(i))
 			}
 		}
-		trans[k] = t
+		b.AddSet(t)
 	}
-	return dataset.New(trans, 20)
+	return b.Build()
 }
 
 func TestAlgorithmsRegistryComplete(t *testing.T) {

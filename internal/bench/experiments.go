@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/gendata"
 	"repro/internal/prep"
 	"repro/internal/result"
@@ -394,7 +393,7 @@ func sweepPlain(w io.Writer, cfg Config, id, title string, db *txdb.DB, supports
 
 func runTable1(_ Config, w io.Writer) error {
 	// The example transaction database of Table 1 (a=0..e=4).
-	db := dataset.FromInts(
+	m := txdb.FromInts(
 		[]int{0, 1, 2},
 		[]int{0, 3, 4},
 		[]int{1, 2, 3},
@@ -403,8 +402,7 @@ func runTable1(_ Config, w io.Writer) error {
 		[]int{0, 1, 3},
 		[]int{3, 4},
 		[]int{2, 3, 4},
-	)
-	m := txdb.FromSource(db).Matrix()
+	).Matrix()
 	names := []string{"a", "b", "c", "d", "e"}
 	fmt.Fprintln(w, "Table 1: matrix representation for the improved Carpenter variant")
 	fmt.Fprintf(w, "%4s", "")

@@ -26,7 +26,7 @@ func TestHashRepositoryEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !got.Equal(want) {
-				t.Fatalf("%v hash repo mismatch (minsup=%d db=%v):\n%s", v, minsup, db.Trans, got.Diff(want, 10))
+				t.Fatalf("%v hash repo mismatch (minsup=%d db=%v):\n%s", v, minsup, db, got.Diff(want, 10))
 			}
 		}
 	}

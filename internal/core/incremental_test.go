@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/naive"
 )
 
@@ -18,14 +17,14 @@ func TestIncrementalMatchesOracleAtEveryPrefix(t *testing.T) {
 		n := 3 + rng.Intn(10)
 		db := randDB(rng, items, n, 0.2+rng.Float64()*0.5)
 		m := NewIncremental(items)
-		for k, tr := range db.Trans {
-			if err := m.AddSet(tr); err != nil {
+		for k := 0; k < db.NumTx(); k++ {
+			if err := m.AddSet(db.Tx(k)); err != nil {
 				t.Fatal(err)
 			}
 			if m.Transactions() != k+1 {
 				t.Fatalf("Transactions = %d, want %d", m.Transactions(), k+1)
 			}
-			prefix := &dataset.Database{Items: items, Trans: db.Trans[:k+1]}
+			prefix := db.Slice(0, k+1)
 			for _, minsup := range []int{1, 2} {
 				want, err := naive.ClosedByTransactionSubsets(prefix, minsup)
 				if err != nil {

@@ -115,9 +115,9 @@ func TestReportAbortsPromptly(t *testing.T) {
 	// cancel interval, so a traversal that only skips emits (the old bug)
 	// would still walk well past the cancellation point.
 	db := randDB(rng, 80, 400, 0.2)
-	tree := NewTree(db.Items)
-	for _, tr := range db.Trans {
-		tree.AddTransaction(tr)
+	tree := NewTree(db.NumItems())
+	for k := 0; k < db.NumTx(); k++ {
+		tree.AddTransaction(db.Tx(k))
 	}
 	if tree.NodeCount() <= 2*cancelInterval {
 		t.Fatalf("workload too small to exercise the abort: %d nodes", tree.NodeCount())

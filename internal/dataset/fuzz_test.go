@@ -3,6 +3,8 @@ package dataset
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/txdb"
 )
 
 // FuzzReadWriteRoundTrip feeds arbitrary text to the FIMI reader; whatever
@@ -21,25 +23,28 @@ func FuzzReadWriteRoundTrip(f *testing.F) {
 		if err != nil {
 			return // rejecting malformed input is fine
 		}
-		if err := db.Validate(); err != nil {
+		if err := txdb.Validate(db); err != nil {
 			t.Fatalf("Read produced an invalid database: %v", err)
 		}
 		var sb strings.Builder
 		if err := Write(&sb, db); err != nil {
+			if strings.Contains(err.Error(), "read back as a comment") {
+				return // a row led by a '#' name has no FIMI form
+			}
 			t.Fatal(err)
 		}
 		back, err := Read(strings.NewReader(sb.String()))
 		if err != nil {
 			t.Fatalf("round trip failed to parse: %v", err)
 		}
-		if len(back.Trans) != len(db.Trans) {
-			t.Fatalf("round trip changed row count: %d -> %d", len(db.Trans), len(back.Trans))
+		if back.NumTx() != db.NumTx() {
+			t.Fatalf("round trip changed row count: %d -> %d", db.NumTx(), back.NumTx())
 		}
-		for k := range db.Trans {
-			if !back.Trans[k].Equal(db.Trans[k]) {
+		for k := 0; k < db.NumTx(); k++ {
+			if !back.Tx(k).Equal(db.Tx(k)) {
 				// Named databases re-encode codes by first appearance,
 				// which Write preserves, so sets must match exactly.
-				t.Fatalf("row %d changed: %v -> %v", k, db.Trans[k], back.Trans[k])
+				t.Fatalf("row %d changed: %v -> %v", k, db.Tx(k), back.Tx(k))
 			}
 		}
 	})

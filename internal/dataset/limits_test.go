@@ -28,8 +28,8 @@ func TestReadLimitedTxLen(t *testing.T) {
 	if err != nil {
 		t.Fatalf("at-limit input rejected: %v", err)
 	}
-	if len(db.Trans) != 3 {
-		t.Errorf("got %d transactions, want 3", len(db.Trans))
+	if db.NumTx() != 3 {
+		t.Errorf("got %d transactions, want 3", db.NumTx())
 	}
 }
 
@@ -63,8 +63,8 @@ func TestReadLimitedMaxItemsNamed(t *testing.T) {
 	if err != nil {
 		t.Fatalf("4 distinct names rejected at MaxItems=4: %v", err)
 	}
-	if db.Items != 4 {
-		t.Errorf("universe = %d, want 4", db.Items)
+	if db.NumItems() != 4 {
+		t.Errorf("universe = %d, want 4", db.NumItems())
 	}
 
 	_, err = ReadLimited(strings.NewReader(in), Limits{MaxItems: 2})
@@ -85,8 +85,8 @@ func TestReadLimitedZeroIsUnlimited(t *testing.T) {
 	if err != nil {
 		t.Fatalf("unlimited read failed: %v", err)
 	}
-	if len(db.Trans) != 1 || db.Items != 10 {
-		t.Errorf("db = %d trans, %d items", len(db.Trans), db.Items)
+	if db.NumTx() != 1 || db.NumItems() != 10 {
+		t.Errorf("db = %d trans, %d items", db.NumTx(), db.NumItems())
 	}
 	if Limits := (Limits{}); Limits.Enabled() {
 		t.Error("zero Limits reports Enabled")

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/carpenter"
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/gendata"
 	"repro/internal/itemset"
 	"repro/internal/mining"
@@ -14,18 +13,19 @@ import (
 	"repro/internal/txdb"
 )
 
-func randDB(rng *rand.Rand, items, n int, density float64) *dataset.Database {
-	trans := make([]itemset.Set, n)
-	for k := range trans {
+func randDB(rng *rand.Rand, items, n int, density float64) *txdb.DB {
+	b := txdb.NewBuilder(n, 0)
+	b.SetNumItems(items)
+	for k := 0; k < n; k++ {
 		var raw []int
 		for i := 0; i < items; i++ {
 			if rng.Float64() < density {
 				raw = append(raw, i)
 			}
 		}
-		trans[k] = itemset.FromInts(raw...)
+		b.AddInts(raw...)
 	}
-	return dataset.New(trans, items)
+	return b.Build()
 }
 
 func seqIsTa(t *testing.T, db txdb.Source, minsup int) *result.Set {
@@ -205,7 +205,7 @@ func TestParallelCancellation(t *testing.T) {
 // TestWorkerCountEdgeCases: more workers than transactions, single
 // transactions, and empty databases must all behave.
 func TestWorkerCountEdgeCases(t *testing.T) {
-	empty := dataset.New(nil, 0)
+	empty := txdb.FromInts()
 	if err := MineIsTa(empty, Options{MinSupport: 1, Workers: 8}, &result.Counter{}); err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestWorkerCountEdgeCases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	one := dataset.FromInts([]int{1, 3, 5})
+	one := txdb.FromInts([]int{1, 3, 5})
 	want := seqIsTa(t, one, 1)
 	got := parIsTa(t, one, 1, 16)
 	if !got.Equal(want) {

@@ -3,7 +3,6 @@ package prep
 import (
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/txdb"
 )
 
@@ -20,8 +19,8 @@ func FuzzPrepareInvariants(f *testing.F) {
 		db := dbFromBytes(raw)
 		minsup := int(minsupRaw%8) + 1
 		p := Prepare(db, minsup, Config{Items: OrderAscFreq, Trans: OrderSizeAsc})
-		if p.OrigTransactions != len(db.Trans) {
-			t.Fatalf("OrigTransactions = %d, want %d", p.OrigTransactions, len(db.Trans))
+		if p.OrigTransactions != db.NumTx() {
+			t.Fatalf("OrigTransactions = %d, want %d", p.OrigTransactions, db.NumTx())
 		}
 		if err := txdb.Validate(p.DB); err != nil {
 			t.Fatalf("prepared db invalid: %v", err)
@@ -49,7 +48,7 @@ func FuzzPrepareInvariants(f *testing.F) {
 		// Decode is a bijection into the original universe.
 		seen := map[int32]bool{}
 		for _, orig := range p.Decode {
-			if orig < 0 || int(orig) >= db.Items || seen[orig] {
+			if orig < 0 || int(orig) >= db.NumItems() || seen[orig] {
 				t.Fatalf("decode not a bijection: %v", p.Decode)
 			}
 			seen[orig] = true
@@ -60,7 +59,7 @@ func FuzzPrepareInvariants(f *testing.F) {
 // dbFromBytes deterministically decodes fuzz bytes into a small database:
 // each byte contributes an item (value mod 16); byte value 0 starts a new
 // transaction.
-func dbFromBytes(raw []byte) *dataset.Database {
+func dbFromBytes(raw []byte) *txdb.DB {
 	var rows [][]int
 	cur := []int{}
 	for _, b := range raw {
@@ -72,5 +71,5 @@ func dbFromBytes(raw []byte) *dataset.Database {
 		cur = append(cur, int(b%16))
 	}
 	rows = append(rows, cur)
-	return dataset.FromInts(rows...)
+	return txdb.FromInts(rows...)
 }

@@ -15,9 +15,8 @@
 // straight into flat columnar arrays (recoding and re-canonicalizing each
 // row in place inside the flat buffer), and transaction reordering is an
 // index-permutation gather. The whole of Prepare performs a constant
-// number of allocations regardless of database size — asserted by a
-// checked-in allocation budget in the package benchmarks — where the
-// previous row-oriented pipeline allocated per transaction.
+// number of allocations regardless of database size, asserted by a
+// checked-in allocation budget in the package tests.
 package prep
 
 import (
@@ -84,25 +83,15 @@ func (o TransOrder) String() string {
 // coding and transaction order the algorithm wants. The zero value is the
 // paper's recommended configuration for IsTa (ascending-frequency item
 // codes, transactions by increasing size).
+// Duplicate merging is not a preprocessing step: callers that want
+// weighted rows run txdb.MergeDuplicates first, and Prepare keeps row
+// weights as given.
 type Config struct {
 	Items ItemOrder
 	Trans TransOrder
-	// Merge, when set, merges identical transactions into one weighted row
-	// after recoding (the §2 multiset reduction). All miners count support
-	// by weight, so the mined patterns are unchanged while repeated rows
-	// are traversed once. Off by default: the registered configurations
-	// keep per-row semantics so outputs stay bit-identical to the
-	// row-oriented pipeline.
-	Merge bool
 }
 
-func (c Config) String() string {
-	s := c.Items.String() + " " + c.Trans.String()
-	if c.Merge {
-		s += " merge"
-	}
-	return s
-}
+func (c Config) String() string { return c.Items.String() + " " + c.Trans.String() }
 
 // PrepAllocBudget is the checked-in allocation budget for one Prepare pass
 // over an already-columnar source: the deliberate one-off allocations
@@ -143,8 +132,7 @@ type Prepared struct {
 //  2. recode the surviving items according to cfg.Items, encoding every
 //     row directly into the flat columnar arrays;
 //  3. drop transactions that became empty;
-//  4. optionally merge duplicate rows into weights (cfg.Merge);
-//  5. reorder transactions according to cfg.Trans, ties broken by a
+//  4. reorder transactions according to cfg.Trans, ties broken by a
 //     lexicographic comparison on descending item codes (§3.4).
 //
 // minSupport values below 1 are treated as 1.
@@ -198,9 +186,6 @@ func Prepare(src txdb.Source, minSupport int, cfg Config) *Prepared {
 	}
 
 	db := encodeRows(src, encode, len(alive), cfg.Items != OrderKeep)
-	if cfg.Merge {
-		db = txdb.MergeDuplicates(db)
-	}
 	db = orderRows(db, cfg.Trans)
 
 	return &Prepared{

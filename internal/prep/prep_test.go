@@ -5,15 +5,14 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/itemset"
 	"repro/internal/txdb"
 )
 
 // paperDB is the example transaction database from Table 1 of the paper,
 // with a=0, b=1, c=2, d=3, e=4.
-func paperDB() *dataset.Database {
-	return dataset.FromInts(
+func paperDB() *txdb.DB {
+	return txdb.FromInts(
 		[]int{0, 1, 2},    // t1 = a b c
 		[]int{0, 3, 4},    // t2 = a d e
 		[]int{1, 2, 3},    // t3 = b c d
@@ -25,18 +24,19 @@ func paperDB() *dataset.Database {
 	)
 }
 
-func randDB(rng *rand.Rand, items, n int, density float64) *dataset.Database {
-	trans := make([]itemset.Set, n)
-	for k := range trans {
+func randDB(rng *rand.Rand, items, n int, density float64) *txdb.DB {
+	b := txdb.NewBuilder(n, 0)
+	b.SetNumItems(items)
+	for k := 0; k < n; k++ {
 		var t itemset.Set
 		for i := 0; i < items; i++ {
 			if rng.Float64() < density {
 				t = append(t, itemset.Item(i))
 			}
 		}
-		trans[k] = t
+		b.AddSet(t)
 	}
-	return dataset.New(trans, items)
+	return b.Build()
 }
 
 // rows materializes a prepared database's transactions for comparisons.
@@ -74,7 +74,7 @@ func TestPrepareDropsInfrequent(t *testing.T) {
 }
 
 func TestPrepareDropsEmptyTransactions(t *testing.T) {
-	db := dataset.FromInts([]int{0}, []int{1}, []int{0, 1}, []int{2})
+	db := txdb.FromInts([]int{0}, []int{1}, []int{0, 1}, []int{2})
 	p := Prepare(db, 2, Config{Items: OrderAscFreq, Trans: OrderSizeAsc})
 	// Item 2 is infrequent; its transaction becomes empty and is dropped.
 	if p.DB.NumTx() != 3 {
@@ -86,7 +86,7 @@ func TestPrepareDropsEmptyTransactions(t *testing.T) {
 }
 
 func TestPrepareTransactionOrder(t *testing.T) {
-	db := dataset.FromInts([]int{0, 1, 2}, []int{0}, []int{1, 2}, []int{0, 2})
+	db := txdb.FromInts([]int{0, 1, 2}, []int{0}, []int{1, 2}, []int{0, 2})
 	p := Prepare(db, 1, Config{Items: OrderKeep, Trans: OrderSizeAsc})
 	lens := []int{}
 	for k := 0; k < p.DB.NumTx(); k++ {
@@ -107,7 +107,7 @@ func TestPrepareTransactionOrder(t *testing.T) {
 
 func TestPrepareItemOrderAsc(t *testing.T) {
 	// freq: 0 -> 3, 1 -> 1, 2 -> 2
-	db := dataset.FromInts([]int{0}, []int{0, 2}, []int{0, 1, 2})
+	db := txdb.FromInts([]int{0}, []int{0, 2}, []int{0, 1, 2})
 	p := Prepare(db, 1, Config{Items: OrderAscFreq, Trans: OrderOriginal})
 	// rarest first: item 1 (freq 1) -> code 0, item 2 -> code 1, item 0 -> 2.
 	want := []itemset.Item{1, 2, 0}
@@ -124,7 +124,7 @@ func TestPrepareItemOrderAsc(t *testing.T) {
 }
 
 func TestPrepareItemOrderDesc(t *testing.T) {
-	db := dataset.FromInts([]int{0}, []int{0, 2}, []int{0, 1, 2})
+	db := txdb.FromInts([]int{0}, []int{0, 2}, []int{0, 1, 2})
 	p := Prepare(db, 1, Config{Items: OrderDescFreq, Trans: OrderOriginal})
 	want := []itemset.Item{0, 2, 1}
 	if !reflect.DeepEqual(p.Decode, want) {
@@ -147,8 +147,8 @@ func TestDecodeSetRoundTrip(t *testing.T) {
 			}
 			// Every decoded transaction must be a subset of some original.
 			found := false
-			for _, orig := range db.Trans {
-				if dec.SubsetOf(orig) {
+			for k := 0; k < db.NumTx(); k++ {
+				if dec.SubsetOf(db.Tx(k)) {
 					found = true
 					break
 				}
@@ -170,13 +170,13 @@ func TestPrepareMinSupportBelowOne(t *testing.T) {
 }
 
 func TestPrepareMergeDuplicates(t *testing.T) {
-	db := dataset.FromInts(
+	db := txdb.FromInts(
 		[]int{0, 1},
 		[]int{0, 1},
 		[]int{1, 2},
 		[]int{0, 1},
 	)
-	p := Prepare(db, 1, Config{Items: OrderKeep, Trans: OrderOriginal, Merge: true})
+	p := Prepare(txdb.MergeDuplicates(db), 1, Config{Items: OrderKeep, Trans: OrderOriginal})
 	if p.DB.NumTx() != 2 {
 		t.Fatalf("merged transactions = %d, want 2", p.DB.NumTx())
 	}
@@ -253,9 +253,5 @@ func TestConfigString(t *testing.T) {
 	}
 	if ItemOrder(9).String() != "items:9" || TransOrder(9).String() != "trans:9" {
 		t.Fatal("fallback order strings")
-	}
-	m := Config{Items: OrderAscFreq, Trans: OrderSizeAsc, Merge: true}
-	if m.String() != "items:asc-freq trans:size-asc merge" {
-		t.Fatalf("merge Config.String() = %q", m.String())
 	}
 }

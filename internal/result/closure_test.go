@@ -4,22 +4,23 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/itemset"
+	"repro/internal/txdb"
 )
 
-func randDB(rng *rand.Rand, items, n int, density float64) *dataset.Database {
-	trans := make([]itemset.Set, n)
-	for k := range trans {
+func randDB(rng *rand.Rand, items, n int, density float64) *txdb.DB {
+	b := txdb.NewBuilder(n, 0)
+	b.SetNumItems(items)
+	for k := 0; k < n; k++ {
 		var t itemset.Set
 		for i := 0; i < items; i++ {
 			if rng.Float64() < density {
 				t = append(t, itemset.Item(i))
 			}
 		}
-		trans[k] = t
+		b.AddSet(t)
 	}
-	return dataset.New(trans, items)
+	return b.Build()
 }
 
 // TestClosureOperatorLaws checks that the compound map f∘g of the Galois
@@ -78,7 +79,7 @@ func TestClosedIffNoPerfectExtension(t *testing.T) {
 			continue
 		}
 		perfect := false
-		for i := 0; i < db.Items; i++ {
+		for i := 0; i < db.NumItems(); i++ {
 			it := itemset.Item(i)
 			if s.Contains(it) {
 				continue
@@ -89,7 +90,7 @@ func TestClosedIffNoPerfectExtension(t *testing.T) {
 			}
 		}
 		if got := IsClosed(db, s); got == perfect {
-			t.Fatalf("closed=%v but perfect-extension=%v for %v in %v", got, perfect, s, db.Trans)
+			t.Fatalf("closed=%v but perfect-extension=%v for %v in %v", got, perfect, s, db)
 		}
 	}
 }

@@ -5,12 +5,12 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/itemset"
+	"repro/internal/txdb"
 )
 
-func paperDB() *dataset.Database {
-	return dataset.FromInts(
+func paperDB() *txdb.DB {
+	return txdb.FromInts(
 		[]int{0, 1, 2},
 		[]int{0, 3, 4},
 		[]int{1, 2, 3},

@@ -5,14 +5,14 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/itemset"
 	"repro/internal/naive"
 	"repro/internal/result"
+	"repro/internal/txdb"
 )
 
-func paperDB() *dataset.Database {
-	return dataset.FromInts(
+func paperDB() *txdb.DB {
+	return txdb.FromInts(
 		[]int{0, 1, 2},
 		[]int{0, 3, 4},
 		[]int{1, 2, 3},
@@ -24,7 +24,7 @@ func paperDB() *dataset.Database {
 	)
 }
 
-func closedSet(t *testing.T, db *dataset.Database, minsup int) *result.Set {
+func closedSet(t *testing.T, db *txdb.DB, minsup int) *result.Set {
 	t.Helper()
 	s, err := naive.ClosedByTransactionSubsets(db, minsup)
 	if err != nil {
@@ -36,7 +36,7 @@ func closedSet(t *testing.T, db *dataset.Database, minsup int) *result.Set {
 func TestIndexSupport(t *testing.T) {
 	db := paperDB()
 	closed := closedSet(t, db, 1)
-	idx := NewIndex(closed, len(db.Trans))
+	idx := NewIndex(closed, db.NumTx())
 	rng := rand.New(rand.NewSource(71))
 	// For every item set with non-zero support, the index must return the
 	// exact support (closed sets preserve all support information at
@@ -72,7 +72,7 @@ func TestIndexSupport(t *testing.T) {
 func TestFromClosedConfidences(t *testing.T) {
 	db := paperDB()
 	closed := closedSet(t, db, 1)
-	rulesOut := FromClosed(closed, len(db.Trans), Options{MinConfidence: 0.0})
+	rulesOut := FromClosed(closed, db.NumTx(), Options{MinConfidence: 0.0})
 	if len(rulesOut) == 0 {
 		t.Fatal("no rules generated")
 	}
@@ -105,8 +105,8 @@ func TestFromClosedConfidences(t *testing.T) {
 func TestMinConfidenceFilter(t *testing.T) {
 	db := paperDB()
 	closed := closedSet(t, db, 1)
-	all := FromClosed(closed, len(db.Trans), Options{MinConfidence: 0})
-	strict := FromClosed(closed, len(db.Trans), Options{MinConfidence: 0.9})
+	all := FromClosed(closed, db.NumTx(), Options{MinConfidence: 0})
+	strict := FromClosed(closed, db.NumTx(), Options{MinConfidence: 0.9})
 	if len(strict) >= len(all) {
 		t.Fatal("confidence filter should remove rules")
 	}
@@ -134,7 +134,7 @@ func TestMinConfidenceFilter(t *testing.T) {
 func TestMinLiftFilter(t *testing.T) {
 	db := paperDB()
 	closed := closedSet(t, db, 1)
-	lifted := FromClosed(closed, len(db.Trans), Options{MinConfidence: 0, MinLift: 1.2})
+	lifted := FromClosed(closed, db.NumTx(), Options{MinConfidence: 0, MinLift: 1.2})
 	for _, r := range lifted {
 		if r.Lift < 1.2 {
 			t.Fatalf("rule %v below lift threshold", r)
@@ -145,8 +145,8 @@ func TestMinLiftFilter(t *testing.T) {
 func TestMultiItemConsequents(t *testing.T) {
 	db := paperDB()
 	closed := closedSet(t, db, 1)
-	single := FromClosed(closed, len(db.Trans), Options{MinConfidence: 0})
-	multi := FromClosed(closed, len(db.Trans), Options{MinConfidence: 0, MaxConsequentItems: 2})
+	single := FromClosed(closed, db.NumTx(), Options{MinConfidence: 0})
+	multi := FromClosed(closed, db.NumTx(), Options{MinConfidence: 0, MaxConsequentItems: 2})
 	if len(multi) <= len(single) {
 		t.Fatal("two-item consequents should add rules")
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -187,16 +186,18 @@ func checkRows(rows [][]int, lim dataset.Limits) error {
 }
 
 // asInputError converts dataset reader errors (including the typed limit
-// errors with their line numbers) into clientErrors.
+// errors with their line numbers) into clientErrors. An oversized body
+// passes through unchanged so writeRequestError answers 413.
 func asInputError(err error) error {
 	var le *dataset.LimitError
-	if errors.As(err, &le) {
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.As(err, &le):
 		return &clientError{msg: le.Error(), line: le.Line}
+	case errors.As(err, &mbe):
+		return err
 	}
-	if errors.Is(err, io.ErrUnexpectedEOF) || err != nil {
-		return &clientError{msg: fmt.Sprintf("invalid input: %v", err)}
-	}
-	return err
+	return &clientError{msg: fmt.Sprintf("invalid input: %v", err)}
 }
 
 func patternsJSON(set *fim.ResultSet) []patternJSON {

@@ -215,19 +215,21 @@ func TestMineBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Options{MaxBodyBytes: 256})
 	cases := []struct {
 		name string
+		ct   string
 		body string
 		want int
 	}{
-		{"bad json", "{", http.StatusBadRequest},
-		{"no transactions", `{"minSupport":1}`, http.StatusBadRequest},
-		{"negative code", `{"transactions":[[-1]],"minSupport":1}`, http.StatusBadRequest},
-		{"unknown algorithm", `{"transactions":[[0]],"minSupport":1,"algorithm":"nope"}`, http.StatusBadRequest},
-		{"unknown target", `{"transactions":[[0]],"minSupport":1,"target":"open"}`, http.StatusBadRequest},
-		{"oversized body", `{"transactions":[[` + strings.Repeat("0,", 400) + `0]]}`, http.StatusRequestEntityTooLarge},
+		{"bad json", "application/json", "{", http.StatusBadRequest},
+		{"no transactions", "application/json", `{"minSupport":1}`, http.StatusBadRequest},
+		{"negative code", "application/json", `{"transactions":[[-1]],"minSupport":1}`, http.StatusBadRequest},
+		{"unknown algorithm", "application/json", `{"transactions":[[0]],"minSupport":1,"algorithm":"nope"}`, http.StatusBadRequest},
+		{"unknown target", "application/json", `{"transactions":[[0]],"minSupport":1,"target":"open"}`, http.StatusBadRequest},
+		{"oversized body", "application/json", `{"transactions":[[` + strings.Repeat("0,", 400) + `0]]}`, http.StatusRequestEntityTooLarge},
+		{"oversized text body", "text/plain", strings.Repeat("0 1 2\n", 100), http.StatusRequestEntityTooLarge},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			resp, err := http.Post(ts.URL+"/mine", "application/json", strings.NewReader(tc.body))
+			resp, err := http.Post(ts.URL+"/mine", tc.ct, strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatal(err)
 			}

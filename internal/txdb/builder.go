@@ -7,15 +7,17 @@ import (
 )
 
 // Builder accumulates transactions directly into the flat columns, so
-// producers (dataset I/O, the synthetic generators, prep) emit straight
-// into the final representation with no per-transaction allocations —
-// growth is amortized over the two backing arrays. A Builder is single-use:
-// Build hands its columns to the DB without copying.
+// every producer — the FIMI reader in internal/dataset, the synthetic
+// generators, prep's pipeline, NewDatabase — emits straight into the final
+// representation with no per-transaction allocations: growth is amortized
+// over the backing arrays. A Builder is single-use: Build hands its
+// columns to the DB without copying.
 type Builder struct {
 	items   int // universe floor; raised by observed items
 	ids     []itemset.Item
 	offs    []int32
 	weights []int32 // nil until a weight ≠ 1 is added
+	names   []string
 	totalW  int
 }
 
@@ -33,6 +35,14 @@ func NewBuilder(rowsHint, idsHint int) *Builder {
 // the larger of this and 1 + the largest item observed.
 func (b *Builder) SetNumItems(n int) { b.items = n }
 
+// SetNames attaches the names column: names[i] is the external name of
+// item code i. It raises the universe floor to len(names); the caller
+// keeps every row's items inside the table (Validate checks it).
+func (b *Builder) SetNames(names []string) {
+	b.names = names
+	b.items = max(b.items, len(names))
+}
+
 // NumRows returns the number of rows added so far.
 func (b *Builder) NumRows() int { return len(b.offs) - 1 }
 
@@ -49,23 +59,11 @@ func (b *Builder) AddWeighted(t itemset.Set, w int) {
 
 // AddRow appends one transaction given as an arbitrary (unsorted, possibly
 // duplicated) item list: the row is canonicalized in place inside the flat
-// array, with no temporary allocation. This replaces the ad-hoc
-// append-then-sort canonicalization producers used to do per row.
+// array, with no temporary allocation.
 func (b *Builder) AddRow(row []itemset.Item) {
 	start := len(b.ids)
 	b.ids = append(b.ids, row...)
-	seg := b.ids[start:]
-	slices.Sort(seg)
-	// Deduplicate in place.
-	wr := 0
-	for r := range seg {
-		if r == 0 || seg[r] != seg[wr-1] {
-			seg[wr] = seg[r]
-			wr++
-		}
-	}
-	b.ids = b.ids[:start+wr]
-	b.closeRow(wr, 1)
+	b.canonicalRow(start)
 }
 
 // AddInts appends one transaction given as ints; a test and generator
@@ -75,17 +73,28 @@ func (b *Builder) AddInts(row ...int) {
 	for _, v := range row {
 		b.ids = append(b.ids, itemset.Item(v))
 	}
+	b.canonicalRow(start)
+}
+
+// FromInts builds a uniform database from rows of item codes, each
+// canonicalized as by AddInts; the universe is the smallest one containing
+// every item.
+func FromInts(rows ...[]int) *DB {
+	b := NewBuilder(len(rows), 0)
+	for _, r := range rows {
+		b.AddInts(r...)
+	}
+	return b.Build()
+}
+
+// canonicalRow sorts and deduplicates ids[start:] in place and closes it
+// as a row of weight 1.
+func (b *Builder) canonicalRow(start int) {
 	seg := b.ids[start:]
 	slices.Sort(seg)
-	wr := 0
-	for r := range seg {
-		if r == 0 || seg[r] != seg[wr-1] {
-			seg[wr] = seg[r]
-			wr++
-		}
-	}
-	b.ids = b.ids[:start+wr]
-	b.closeRow(wr, 1)
+	seg = slices.Compact(seg)
+	b.ids = b.ids[:start+len(seg)]
+	b.closeRow(len(seg), 1)
 }
 
 func (b *Builder) closeRow(rowLen, w int) {
@@ -115,9 +124,10 @@ func (b *Builder) Build() *DB {
 		ids:     b.ids,
 		offs:    b.offs,
 		weights: b.weights,
+		names:   b.names,
 		totalW:  b.totalW,
 	}
-	b.ids, b.offs, b.weights = nil, nil, nil
+	b.ids, b.offs, b.weights, b.names = nil, nil, nil, nil
 	return db
 }
 
@@ -126,8 +136,9 @@ func (b *Builder) Build() *DB {
 // multiset-to-weighted-set reduction of §2 of the paper: support counting
 // only ever needs the multiplicity). Rows keep the order of their first
 // occurrence, so a database without duplicates comes back row-identical.
-// The input is unchanged; if nothing merges the result still owns fresh
-// columns only when duplicates existed — otherwise db itself is returned.
+// The names column carries over. The input is unchanged; the result owns
+// fresh columns only when duplicates existed — otherwise db itself is
+// returned.
 func MergeDuplicates(db *DB) *DB {
 	n := db.NumTx()
 	if n < 2 {
@@ -173,6 +184,7 @@ func MergeDuplicates(db *DB) *DB {
 	}
 	out := NewBuilder(n-dups, db.NumIds())
 	out.SetNumItems(db.items)
+	out.SetNames(db.names)
 	for k := 0; k < n; k++ {
 		if int(keeper[k]) != k {
 			continue

@@ -65,7 +65,7 @@ func TestNoDirectAlgorithmImports(t *testing.T) {
 }
 
 // TestTxdbLayering enforces the columnar store's position at the bottom
-// of the package DAG. Three rules keep the representation truly shared:
+// of the package DAG. Four rules keep the representation truly shared:
 //
 //  1. internal/tidset is a leaf: it may import nothing of this module at
 //     all (it sits next to internal/itemset), so every layer — txdb,
@@ -73,11 +73,13 @@ func TestNoDirectAlgorithmImports(t *testing.T) {
 //  2. internal/txdb may import nothing of this module above
 //     internal/itemset and internal/tidset — it must stay usable from
 //     every layer without dragging in miners, prep, or I/O.
-//  3. Algorithm packages consume transactions through txdb (or the
+//  3. internal/dataset is the FIMI codec over the store: it may import
+//     nothing of this module but internal/itemset and internal/txdb.
+//  4. Algorithm packages consume transactions through txdb (or the
 //     Source interface) only; importing internal/dataset from non-test
-//     code would re-couple miners to the row-oriented I/O layer that the
-//     columnar refactor removed. They may use tidset directly (shared
-//     kernels are the point), which rule 1 keeps cycle-free.
+//     code would couple miners to the FIMI codec. They may use tidset
+//     directly (shared kernels are the point), which rule 1 keeps
+//     cycle-free.
 func TestTxdbLayering(t *testing.T) {
 	checkImports := func(dir string, allowed func(ip string) bool, hint string) {
 		t.Helper()
@@ -114,6 +116,12 @@ func TestTxdbLayering(t *testing.T) {
 			return ip == "repro/internal/itemset" || ip == "repro/internal/tidset"
 		},
 		"txdb sits at the bottom of the DAG and may only use internal/itemset and internal/tidset")
+
+	checkImports("internal/dataset",
+		func(ip string) bool {
+			return ip == "repro/internal/itemset" || ip == "repro/internal/txdb"
+		},
+		"the dataset codec may only use internal/itemset and internal/txdb")
 
 	for pkg := range algorithmPackages {
 		dir := filepath.Join("internal", filepath.Base(pkg))
