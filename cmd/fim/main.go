@@ -61,6 +61,7 @@ import (
 	"time"
 
 	fim "repro"
+	"repro/internal/obs"
 )
 
 // algoHelp derives the -algo usage text from the engine registry, so a
@@ -327,8 +328,8 @@ func printProgress(p fim.ProgressEvent) {
 	if p.Final {
 		final = " final"
 	}
-	fmt.Fprintf(os.Stderr, "fim: progress elapsed=%s patterns=%d ops=%d checks=%d nodes=%d%s\n",
-		p.Elapsed.Round(time.Millisecond), p.Patterns, p.Ops, p.Checks, p.Nodes, final)
+	fmt.Fprintf(os.Stderr, "fim: progress elapsed=%s %s%s\n",
+		p.Elapsed.Round(time.Millisecond), obs.FormatCounts(p.Counts), final)
 }
 
 // mineDurable feeds the database through the crash-safe incremental
@@ -381,8 +382,9 @@ func mineDurable(ctx context.Context, db fim.Source, minsup int, dir string, eve
 		}
 		if progress && time.Since(lastProgress) >= 200*time.Millisecond {
 			lastProgress = time.Now()
-			fmt.Fprintf(os.Stderr, "fim: progress elapsed=%s added=%d/%d nodes=%d\n",
-				time.Since(start).Round(time.Millisecond), k+1, n, dm.NodeCount())
+			fmt.Fprintf(os.Stderr, "fim: progress elapsed=%s added=%d/%d %s\n",
+				time.Since(start).Round(time.Millisecond), k+1, n,
+				obs.FormatCounts(obs.Counts{NodesPeak: int64(dm.NodeCount()), Retries: int64(dm.Retries())}))
 		}
 	}
 	// Leave a snapshot at the final (or interrupted) state so the next
@@ -399,13 +401,15 @@ func mineDurable(ctx context.Context, db fim.Source, minsup int, dir string, eve
 		Items:               db.NumItems(),
 		PreppedTransactions: dm.Transactions(),
 		PreppedItems:        dm.Items(),
-		Patterns:            int64(patterns.Len()),
-		NodesPeak:           int64(dm.NodeCount()),
-		MineTime:            time.Since(start),
-		Replayed:            done,
-		Added:               dm.Transactions() - done,
-		Snapshots:           dm.Snapshots(),
-		Retries:             int64(dm.Retries()),
+		Counts: obs.Counts{
+			Patterns:  int64(patterns.Len()),
+			NodesPeak: int64(dm.NodeCount()),
+			Retries:   int64(dm.Retries()),
+		},
+		MineTime:  time.Since(start),
+		Replayed:  done,
+		Added:     dm.Transactions() - done,
+		Snapshots: dm.Snapshots(),
 	}
 	if err := dm.Close(); err != nil {
 		fail(err)

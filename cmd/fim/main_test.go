@@ -138,7 +138,7 @@ func TestProgressFlag(t *testing.T) {
 	if stdout != plain {
 		t.Error("-progress -p 4 changed the pattern output")
 	}
-	re := regexp.MustCompile(`fim: progress elapsed=\S+ patterns=(\d+) ops=\d+ checks=\d+ nodes=\d+( final)?`)
+	re := regexp.MustCompile(`fim: progress elapsed=\S+ patterns=(\d+) ops=\d+ checks=\d+ nodes_peak=\d+ isects=\d+ early_stops=\d+ rep_switches=\d+ retries=\d+ degraded=\d+( final)?`)
 	matches := re.FindAllStringSubmatch(stderr, -1)
 	if len(matches) == 0 {
 		t.Fatalf("no progress lines in stderr:\n%s", stderr)

@@ -117,15 +117,17 @@ const (
 	TargetMaximal = engine.Maximal
 )
 
-// MiningStats carries per-run observability: pattern counts, operation
-// and budget-check counters, repository peak size, and prep/mine timings.
+// MiningStats carries per-run observability: the database shape, the
+// run counters (an embedded obs.Counts, so st.NodesPeak and st.Isects
+// are direct fields) and prep/mine timings.
 type MiningStats = engine.Stats
 
 // ProgressEvent is one rate-limited progress snapshot of a running mine:
-// the elapsed wall clock and the counters at the moment of the snapshot.
-// Snapshots are monotone (each counter is ≥ its value in the previous
-// event of the run) and the final event — marked Final — agrees exactly
-// with the run's MiningStats. See DESIGN.md §5e.
+// the elapsed wall clock and the counters at the moment of the snapshot,
+// the same nine as MiningStats. Snapshots are monotone (each counter is
+// ≥ its value in the previous event of the run) and the final event —
+// marked Final — agrees exactly with the run's MiningStats counters. The
+// repository peak is NodesPeak (formerly Nodes). See DESIGN.md §5e.
 type ProgressEvent = obs.Progress
 
 // SpanEvent is one completed run phase (prep, mine, merge, …) with its

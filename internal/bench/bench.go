@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/mining"
+	"repro/internal/obs"
 	"repro/internal/result"
 	"repro/internal/txdb"
 
@@ -102,20 +103,13 @@ type Cell struct {
 	Skipped  bool // earlier timeout at a higher support level
 	Err      error
 
-	// Per-phase split and work counters of the run (from engine.Stats;
-	// zero for the ablation variants, which bypass the engine).
-	PrepTime  time.Duration
-	MineTime  time.Duration
-	Ops       int64
-	NodesPeak int64
-
-	// Intersection-kernel counters (zero for miners that do not run on
-	// the tidset kernel): intersections performed, of which cut short by
-	// the early-stopping bound, and representation switches (sparse
-	// promotions to dense, dense demotions, diffset materialisations).
-	Isects      int64
-	EarlyStops  int64
-	RepSwitches int64
+	// Per-phase split and counters of the run (from engine.Stats; zero
+	// for the ablation variants, which bypass the engine). The kernel
+	// counters (Isects, EarlyStops, RepSwitches) are zero for miners that
+	// do not run on the tidset kernel.
+	PrepTime time.Duration
+	MineTime time.Duration
+	obs.Counts
 
 	// Allocation footprint of the run (heap allocation count and bytes,
 	// from runtime.MemStats deltas around the single measured run). The
@@ -155,8 +149,7 @@ func RunOne(a Algo, db txdb.Source, minsup int, timeout time.Duration) Cell {
 	cell := Cell{
 		Time: elapsed, Closed: counter.N,
 		PrepTime: st.PrepTime, MineTime: st.MineTime,
-		Ops: st.Ops, NodesPeak: st.NodesPeak,
-		Isects: st.Isects, EarlyStops: st.EarlyStops, RepSwitches: st.RepSwitches,
+		Counts: st.Counts,
 		Allocs: int64(after.Mallocs - before.Mallocs),
 		Bytes:  int64(after.TotalAlloc - before.TotalAlloc),
 	}

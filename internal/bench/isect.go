@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/gendata"
+	"repro/internal/obs"
 	"repro/internal/tidset"
 )
 
@@ -128,7 +129,7 @@ func measurePass(pass func() int, ops int) (Cell, int) {
 	elapsed := time.Since(start)
 	runtime.ReadMemStats(&after)
 	return Cell{
-		Time: elapsed, Closed: sum, Ops: int64(ops),
+		Time: elapsed, Closed: sum, Counts: obs.Counts{Ops: int64(ops)},
 		Allocs: int64(after.Mallocs-before.Mallocs) / int64(ops),
 		Bytes:  int64(after.TotalAlloc-before.TotalAlloc) / int64(ops),
 	}, sum

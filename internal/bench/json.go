@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // BenchJSON is the machine-readable form of one experiment's
@@ -27,23 +29,18 @@ type JSONRow struct {
 	Cells  map[string]JSONCell `json:"cells"`
 }
 
-// JSONCell is one (algorithm, support level) measurement.
+// JSONCell is one (algorithm, support level) measurement. The run
+// counters appear under their obs.Counts keys.
 type JSONCell struct {
 	Millis     float64 `json:"millis"`
 	PrepMillis float64 `json:"prep_millis"`
 	MineMillis float64 `json:"mine_millis"`
 	Closed     int     `json:"closed"`
-	Ops        int64   `json:"ops"`
-	NodesPeak  int64   `json:"nodes_peak"`
-	Allocs     int64   `json:"allocs_per_op"`
-	Bytes      int64   `json:"bytes_per_op"`
-	// Kernel counters; omitted for miners that do not run on the tidset
-	// intersection kernel.
-	Isects      int64 `json:"isects,omitempty"`
-	EarlyStops  int64 `json:"early_stops,omitempty"`
-	RepSwitches int64 `json:"rep_switches,omitempty"`
-	TimedOut    bool  `json:"timed_out,omitempty"`
-	Skipped     bool  `json:"skipped,omitempty"`
+	obs.Counts
+	Allocs   int64 `json:"allocs_per_op"`
+	Bytes    int64 `json:"bytes_per_op"`
+	TimedOut bool  `json:"timed_out,omitempty"`
+	Skipped  bool  `json:"skipped,omitempty"`
 }
 
 // WriteBenchJSON writes the rows of one experiment as BENCH_<id>.json
@@ -54,19 +51,15 @@ func WriteBenchJSON(dir, id, workload string, algos []string, rows []Row) (strin
 		jr := JSONRow{MinSupport: r.MinSupport, Closed: r.Closed, Cells: make(map[string]JSONCell, len(r.Cells))}
 		for name, c := range r.Cells {
 			jr.Cells[name] = JSONCell{
-				Millis:      millis(c.Time),
-				PrepMillis:  millis(c.PrepTime),
-				MineMillis:  millis(c.MineTime),
-				Closed:      c.Closed,
-				Ops:         c.Ops,
-				NodesPeak:   c.NodesPeak,
-				Allocs:      c.Allocs,
-				Bytes:       c.Bytes,
-				Isects:      c.Isects,
-				EarlyStops:  c.EarlyStops,
-				RepSwitches: c.RepSwitches,
-				TimedOut:    c.TimedOut,
-				Skipped:     c.Skipped,
+				Millis:     millis(c.Time),
+				PrepMillis: millis(c.PrepTime),
+				MineMillis: millis(c.MineTime),
+				Closed:     c.Closed,
+				Counts:     c.Counts,
+				Allocs:     c.Allocs,
+				Bytes:      c.Bytes,
+				TimedOut:   c.TimedOut,
+				Skipped:    c.Skipped,
 			}
 		}
 		doc.Rows = append(doc.Rows, jr)

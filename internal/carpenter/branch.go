@@ -14,6 +14,7 @@ import (
 	"repro/internal/guard"
 	"repro/internal/itemset"
 	"repro/internal/mining"
+	"repro/internal/obs"
 	"repro/internal/prep"
 	"repro/internal/result"
 )
@@ -108,7 +109,7 @@ type TableWorker struct {
 // in the run's stats and progress; rep receives the worker's (possibly
 // duplicate or partial-support) reports in prepared item codes decoded
 // to original codes.
-func (b *TableBrancher) NewWorker(done <-chan struct{}, g *guard.Guard, counters *mining.Counters, rep result.Reporter) *TableWorker {
+func (b *TableBrancher) NewWorker(done <-chan struct{}, g *guard.Guard, counters *obs.Counters, rep result.Reporter) *TableWorker {
 	return &TableWorker{m: &miner{
 		minsup: b.minsup,
 		n:      b.n,

@@ -132,9 +132,9 @@ func Run(db txdb.Source, name string, spec Spec, rep result.Reporter) error {
 	}
 
 	parallel := reg.parallel != nil && (spec.Workers < 0 || spec.Workers >= 2)
-	var counters *mining.Counters
+	var counters *obs.Counters
 	if spec.Stats != nil || spec.Sink != nil {
-		counters = &mining.Counters{}
+		counters = &obs.Counters{}
 		rep = countingReporter{rep, counters}
 	}
 	if spec.Stats != nil {
@@ -148,8 +148,8 @@ func Run(db txdb.Source, name string, spec Spec, rep result.Reporter) error {
 		}
 	}
 	if spec.Sink != nil {
-		spec.run = obs.NewRun(spec.Sink, spec.ProgressEvery, countsOf(counters))
-		counters.SetOnCheck(spec.run.Observe)
+		spec.run = obs.NewRun(spec.Sink, spec.ProgressEvery, counters.Load)
+		counters.OnCheck = spec.run.Observe
 	}
 	spec.ctl = mining.GuardedCounted(spec.Done, spec.Guard, counters)
 
@@ -175,33 +175,13 @@ func Run(db txdb.Source, name string, spec Spec, rep result.Reporter) error {
 	spec.run.Span(obs.PhaseMine, prepDone)
 	if spec.Stats != nil {
 		spec.Stats.MineTime = time.Since(prepDone)
-		spec.Stats.Patterns = counters.Patterns.Load()
-		spec.Stats.Checks = counters.Checks.Load()
-		spec.Stats.Ops = counters.Ops.Load()
-		spec.Stats.NodesPeak = counters.NodesPeak.Load()
-		spec.Stats.Isects = counters.Isects.Load()
-		spec.Stats.EarlyStops = counters.EarlyStops.Load()
-		spec.Stats.RepSwitches = counters.RepSwitches.Load()
-		spec.Stats.Retries = counters.Retries.Load()
-		spec.Stats.Degraded = counters.Degraded.Load()
+		spec.Stats.Counts = counters.Load()
 	}
 	// The final progress snapshot is emitted before Run returns — with
 	// every worker joined and the control flushed — so it agrees exactly
 	// with Stats, and no event can trail a finished (or canceled) run.
 	spec.run.Finish()
 	return err
-}
-
-// countsOf adapts the shared counters to the obs snapshot shape.
-func countsOf(c *mining.Counters) func() obs.Counts {
-	return func() obs.Counts {
-		return obs.Counts{
-			Patterns: c.Patterns.Load(),
-			Ops:      c.Ops.Load(),
-			Checks:   c.Checks.Load(),
-			Nodes:    c.NodesPeak.Load(),
-		}
-	}
 }
 
 // countingReporter counts the patterns the miner reports into the shared
@@ -211,10 +191,10 @@ func countsOf(c *mining.Counters) func() obs.Counts {
 // goroutines, so it is kept atomically.
 type countingReporter struct {
 	rep      result.Reporter
-	counters *mining.Counters
+	counters *obs.Counters
 }
 
 func (c countingReporter) Report(items itemset.Set, support int) {
-	c.counters.CountPattern()
+	c.counters.Add(obs.Counts{Patterns: 1})
 	c.rep.Report(items, support)
 }

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // Stats holds the observability counters of one mining run. Run fills it
@@ -27,31 +29,11 @@ type Stats struct {
 	PreppedTransactions int
 	PreppedItems        int
 
-	// Patterns counts the patterns the miner reported.
-	Patterns int64
-	// Checks counts amortized cancellation/budget checkpoints.
-	Checks int64
-	// Ops counts algorithm work units (intersections performed,
-	// candidate extensions tested).
-	Ops int64
-	// NodesPeak is the largest repository size observed (prefix-tree
-	// nodes or stored sets; 0 for algorithms without a polled
-	// repository).
-	NodesPeak int64
-	// Isects counts tid-set kernel intersections started; EarlyStops the
-	// ones the kernel abandoned once the minsup bound became unreachable;
-	// RepSwitches its representation conversions (sparse/dense/diffset).
-	// All zero for algorithms that do not use the tidset kernels.
-	Isects      int64
-	EarlyStops  int64
-	RepSwitches int64
-	// Retries counts healed re-attempts of failed work units (shard
-	// re-mines, branch re-explorations); nonzero only with Spec.Retry
-	// enabled.
-	Retries int64
-	// Degraded counts work units abandoned after retry exhaustion; when
-	// nonzero the run returned a *PartialError.
-	Degraded int64
+	// Counts holds the run's counters: patterns, work units,
+	// checkpoints, repository peak, tid-set kernel and self-healing
+	// counters (see obs.Counts). Retries is nonzero only with Spec.Retry
+	// enabled; Degraded nonzero means the run returned a *PartialError.
+	obs.Counts
 
 	// PrepTime and MineTime split the run's wall clock between the
 	// shared preprocessing pipeline and the miner itself.
@@ -71,18 +53,11 @@ type Stats struct {
 
 func (s *Stats) String() string {
 	out := fmt.Sprintf(
-		"algo=%s target=%s minsup=%d parallel=%v db=%d/%d trans %d/%d items patterns=%d ops=%d checks=%d nodes-peak=%d prep=%s mine=%s",
+		"algo=%s target=%s minsup=%d parallel=%v db=%d/%d trans %d/%d items %s prep=%s mine=%s",
 		s.Algorithm, s.Target, s.MinSupport, s.Parallel,
 		s.PreppedTransactions, s.Transactions, s.PreppedItems, s.Items,
-		s.Patterns, s.Ops, s.Checks, s.NodesPeak,
+		obs.FormatCounts(s.Counts),
 		s.PrepTime.Round(time.Microsecond), s.MineTime.Round(time.Microsecond))
-	if s.Isects != 0 {
-		out += fmt.Sprintf(" isects=%d early-stops=%d rep-switches=%d",
-			s.Isects, s.EarlyStops, s.RepSwitches)
-	}
-	if s.Retries != 0 || s.Degraded != 0 {
-		out += fmt.Sprintf(" retries=%d degraded=%d", s.Retries, s.Degraded)
-	}
 	if s.Replayed != 0 || s.Added != 0 || s.Snapshots != 0 {
 		out += fmt.Sprintf(" replayed=%d added=%d snapshots=%d", s.Replayed, s.Added, s.Snapshots)
 	}

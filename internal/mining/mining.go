@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/guard"
+	"repro/internal/obs"
 )
 
 // ErrCanceled is returned by a miner whose run was canceled through its
@@ -60,108 +61,19 @@ func SetTickHook(h func() error) (restore func()) {
 	return func() { tickHook.Store(prev) }
 }
 
-// Counters accumulates per-run observability counters. A single Counters
-// may be shared by many Controls (one per worker goroutine); all fields
-// are updated atomically, and only on the Controls' amortized slow paths
-// (and the reporting path, for Patterns) so the mining hot loops stay
-// unchanged. A nil *Counters disables all counting.
-type Counters struct {
-	// Checks counts amortized cancellation checkpoints (Control slow-path
-	// checks, one per checkInterval Ticks).
-	Checks atomic.Int64
-	// Ops counts algorithm work units — intersections performed,
-	// candidate extensions tested — as reported by CountOps.
-	Ops atomic.Int64
-	// NodesPeak tracks the largest repository size (prefix-tree nodes or
-	// stored sets) observed through PollNodes.
-	NodesPeak atomic.Int64
-	// Patterns counts the patterns reported so far (engine reporting
-	// path; atomic so progress snapshots can read it from any worker).
-	Patterns atomic.Int64
-	// Isects counts tid-set kernel intersections started (tidset.Stats
-	// drained through CountKernel).
-	Isects atomic.Int64
-	// EarlyStops counts kernel intersections abandoned by the minsup
-	// bound before completion.
-	EarlyStops atomic.Int64
-	// RepSwitches counts kernel representation conversions (promotions,
-	// demotions, diffset materializations).
-	RepSwitches atomic.Int64
-	// Retries counts healed re-attempts of failed work units (shard
-	// re-mines, branch re-explorations, retried persistence ops). Updated
-	// only on supervisor paths, never in mining loops.
-	Retries atomic.Int64
-	// Degraded counts work units abandoned after retry exhaustion; a
-	// nonzero value means the run returned a typed partial result.
-	Degraded atomic.Int64
-
-	// onCheck, when non-nil, is invoked after every amortized slow-path
-	// check of every Control sharing this Counters (progress sampling).
-	// It is set once, before the run starts, through SetOnCheck.
-	onCheck func()
-}
-
-// SetOnCheck installs f as the shared observer invoked after each
-// amortized slow-path check (with the Control's local counters already
-// flushed). It must be called before any Control using c starts ticking;
-// f must be safe for concurrent calls from worker goroutines and must
-// return quickly — it runs on the mining slow path.
-func (c *Counters) SetOnCheck(f func()) {
-	if c != nil {
-		c.onCheck = f
-	}
-}
-
-// CountPattern records one reported pattern.
-func (c *Counters) CountPattern() {
-	if c != nil {
-		c.Patterns.Add(1)
-	}
-}
-
-// CountRetry records one healed re-attempt of a failed work unit.
-func (c *Counters) CountRetry() {
-	if c != nil {
-		c.Retries.Add(1)
-	}
-}
-
-// CountDegraded records one work unit abandoned after retry exhaustion.
-func (c *Counters) CountDegraded() {
-	if c != nil {
-		c.Degraded.Add(1)
-	}
-}
-
-// PeakNodes records n as a candidate repository peak.
-func (c *Counters) PeakNodes(n int) {
-	if c == nil {
-		return
-	}
-	for {
-		cur := c.NodesPeak.Load()
-		if int64(n) <= cur || c.NodesPeak.CompareAndSwap(cur, int64(n)) {
-			return
-		}
-	}
-}
-
 // Control performs cheap cooperative cancellation and budget checks
 // inside mining loops. The zero value (or a nil *Control) never cancels.
 // A Control is not safe for concurrent use; give each worker goroutine
 // its own Control on the same done channel and shared Guard (and,
-// optionally, shared Counters).
+// optionally, shared obs.Counters).
 type Control struct {
 	done     <-chan struct{}
 	guard    *guard.Guard
-	counters *Counters
+	counters *obs.Counters
 	hook     func() error // per-Control tick hook, sampled from tickHook
 	budget   int
-	ops      int64 // CountOps units not yet flushed to counters
-	isects   int64 // kernel counters not yet flushed to counters
-	estops   int64
-	switches int64
-	err      error // latched: once failed, every check reports this error
+	pending  obs.Counts // counts not yet flushed to counters
+	err      error      // latched: once failed, every check reports this error
 }
 
 // NewControl returns a Control watching done; done may be nil. The first
@@ -182,7 +94,7 @@ func Guarded(done <-chan struct{}, g *guard.Guard) *Control {
 // GuardedCounted is Guarded with an optional shared Counters that the
 // Control feeds on its amortized slow path (engine stats, progress
 // sampling). All arguments may be nil.
-func GuardedCounted(done <-chan struct{}, g *guard.Guard, c *Counters) *Control {
+func GuardedCounted(done <-chan struct{}, g *guard.Guard, c *obs.Counters) *Control {
 	ctl := &Control{done: done, guard: g, counters: c, budget: 1}
 	if p := tickHook.Load(); p != nil {
 		ctl.hook = *p
@@ -194,7 +106,7 @@ func GuardedCounted(done <-chan struct{}, g *guard.Guard, c *Counters) *Control 
 // is attached). Parallel engines use it to hand every worker's private
 // Control the same Counters, so per-worker work lands in the run's
 // stats and progress snapshots.
-func (c *Control) Counters() *Counters {
+func (c *Control) Counters() *obs.Counters {
 	if c == nil {
 		return nil
 	}
@@ -209,7 +121,7 @@ func (c *Control) CountOps(n int) {
 	if c == nil || c.counters == nil {
 		return
 	}
-	c.ops += int64(n)
+	c.pending.Ops += int64(n)
 }
 
 // CountKernel records drained tid-set kernel statistics (intersections,
@@ -220,9 +132,9 @@ func (c *Control) CountKernel(isects, earlyStops, switches int64) {
 	if c == nil || c.counters == nil {
 		return
 	}
-	c.isects += isects
-	c.estops += earlyStops
-	c.switches += switches
+	c.pending.Isects += isects
+	c.pending.EarlyStops += earlyStops
+	c.pending.RepSwitches += switches
 }
 
 // Flush pushes any unflushed counter state to the shared Counters. The
@@ -231,27 +143,8 @@ func (c *Control) Flush() {
 	if c == nil || c.counters == nil {
 		return
 	}
-	c.flushCounts()
-}
-
-// flushCounts moves Control-local counts into the shared Counters.
-func (c *Control) flushCounts() {
-	if c.ops > 0 {
-		c.counters.Ops.Add(c.ops)
-		c.ops = 0
-	}
-	if c.isects > 0 {
-		c.counters.Isects.Add(c.isects)
-		c.isects = 0
-	}
-	if c.estops > 0 {
-		c.counters.EarlyStops.Add(c.estops)
-		c.estops = 0
-	}
-	if c.switches > 0 {
-		c.counters.RepSwitches.Add(c.switches)
-		c.switches = 0
-	}
+	c.counters.Add(c.pending)
+	c.pending = obs.Counts{}
 }
 
 // Tick must be called periodically from mining inner loops. It returns
@@ -281,8 +174,8 @@ func (c *Control) Tick() error {
 // deadline, and a stopping Control emits no further progress).
 func (c *Control) check() error {
 	if c.counters != nil {
-		c.counters.Checks.Add(1)
-		c.flushCounts()
+		c.pending.Checks++
+		c.Flush()
 	}
 	if c.hook != nil {
 		if err := c.hook(); err != nil {
@@ -302,8 +195,8 @@ func (c *Control) check() error {
 		default:
 		}
 	}
-	if c.counters != nil && c.counters.onCheck != nil {
-		c.counters.onCheck()
+	if c.counters != nil && c.counters.OnCheck != nil {
+		c.counters.OnCheck()
 	}
 	return nil
 }
@@ -342,7 +235,7 @@ func (c *Control) PollNodes(n int) error {
 	if c == nil {
 		return nil
 	}
-	c.counters.PeakNodes(n)
+	c.counters.Add(obs.Counts{NodesPeak: int64(n)})
 	if c.guard == nil {
 		return nil
 	}

@@ -49,23 +49,6 @@ const (
 	PhaseDrain = "drain"
 )
 
-// Counts is the counter snapshot attached to every event, mirroring
-// mining.Counters (plus the reported-pattern count). All fields are
-// cumulative over the run and therefore monotone from one event to the
-// next.
-type Counts struct {
-	// Patterns is the number of patterns reported so far.
-	Patterns int64 `json:"patterns"`
-	// Ops counts algorithm work units (intersections performed,
-	// candidate extensions tested).
-	Ops int64 `json:"ops"`
-	// Checks counts amortized cancellation/budget checkpoints.
-	Checks int64 `json:"checks"`
-	// Nodes is the peak repository size observed so far (prefix-tree
-	// nodes or stored sets).
-	Nodes int64 `json:"nodes"`
-}
-
 // Span is one completed phase of a run.
 type Span struct {
 	// Phase names the span (PhasePrep, PhaseMine, ...).
@@ -192,8 +175,9 @@ type Run struct {
 
 // NewRun starts the observation of one run: events go to sink, progress
 // snapshots are sampled at most once per every (0 or negative selects
-// DefaultInterval), and read supplies the cumulative counter state (nil
-// reads zero Counts). A nil sink returns a nil (inert) Run.
+// DefaultInterval), and read supplies the cumulative counter state — a
+// run's Counters.Load (nil reads zero Counts). A nil sink returns a nil
+// (inert) Run.
 func NewRun(sink Sink, every time.Duration, read func() Counts) *Run {
 	if sink == nil {
 		return nil

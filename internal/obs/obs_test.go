@@ -5,6 +5,9 @@ import (
 	"encoding/json"
 	"expvar"
 	"io"
+	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -196,6 +199,83 @@ func TestJSONSink(t *testing.T) {
 	}
 }
 
+// TestCountsSchema pins the one counter schema. Every Counts field has a
+// distinct snake_case JSON key; with each field set to a distinct value,
+// the accumulator round-trips it, and the JSON lines, the text lines and
+// the expvar map all carry it under that key. A counter added to Counts
+// cannot be wired into only some of them.
+func TestCountsSchema(t *testing.T) {
+	var c Counts
+	v := reflect.ValueOf(&c).Elem()
+	want := map[string]int64{}
+	snake := regexp.MustCompile(`^[a-z]+(_[a-z]+)*$`)
+	for i := 0; i < v.NumField(); i++ {
+		key := v.Type().Field(i).Tag.Get("json")
+		if !snake.MatchString(key) {
+			t.Fatalf("field %s has JSON key %q, want one snake_case key", v.Type().Field(i).Name, key)
+		}
+		v.Field(i).SetInt(int64(101 + i))
+		want[key] = int64(101 + i)
+	}
+	if len(want) != v.NumField() {
+		t.Fatalf("%d fields share %d JSON keys", v.NumField(), len(want))
+	}
+
+	var acc Counters
+	acc.Add(c)
+	if got := acc.Load(); got != c {
+		t.Errorf("Counters round trip: Load() = %+v after Add(%+v)", got, c)
+	}
+
+	emit := func(s Sink) {
+		s.Span(Span{Phase: PhaseMine, Counts: c})
+		s.Progress(Progress{Elapsed: time.Second, Counts: c})
+		s.Note(Note{Kind: NoteRetry, Detail: "shard 1", Counts: c})
+	}
+	check := func(form, line string, got map[string]string) {
+		t.Helper()
+		for key, n := range want {
+			if got[key] != strconv.FormatInt(n, 10) {
+				t.Errorf("%s %q: %s = %q, want %d", form, line, key, got[key], n)
+			}
+		}
+	}
+
+	var buf bytes.Buffer
+	emit(NewJSONSink(&buf))
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		var ev map[string]any
+		if err := json.Unmarshal([]byte(line), &ev); err != nil {
+			t.Fatalf("JSON line %q: %v", line, err)
+		}
+		got := map[string]string{}
+		for k, x := range ev {
+			if f, ok := x.(float64); ok {
+				got[k] = strconv.FormatFloat(f, 'f', -1, 64)
+			}
+		}
+		check("JSON line", line, got)
+	}
+
+	buf.Reset()
+	emit(NewTextSink(&buf))
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		got := map[string]string{}
+		for _, field := range strings.Fields(line) {
+			if k, x, ok := strings.Cut(field, "="); ok {
+				got[k] = x
+			}
+		}
+		check("text line", line, got)
+	}
+
+	NewExpvarSink("obs_schema_test").Progress(Progress{Counts: c})
+	m := expvar.Get("obs_schema_test").(*expvar.Map)
+	got := map[string]string{}
+	m.Do(func(kv expvar.KeyValue) { got[kv.Key] = kv.Value.String() })
+	check("expvar map", "obs_schema_test", got)
+}
+
 func TestExpvarSink(t *testing.T) {
 	s := NewExpvarSink("obs_test")
 	s.Span(Span{Phase: PhaseMine, Duration: 4 * time.Millisecond})
@@ -231,9 +311,9 @@ func TestExpvarSink(t *testing.T) {
 func TestEmitSpanNilSink(t *testing.T) {
 	EmitSpan(nil, PhaseSnapshot, time.Now(), Counts{}) // must not panic
 	var rec Recorder
-	EmitSpan(&rec, PhaseSnapshot, time.Now().Add(-time.Millisecond), Counts{Nodes: 3})
+	EmitSpan(&rec, PhaseSnapshot, time.Now().Add(-time.Millisecond), Counts{NodesPeak: 3})
 	spans := rec.Spans()
-	if len(spans) != 1 || spans[0].Phase != PhaseSnapshot || spans[0].Nodes != 3 || spans[0].Duration <= 0 {
+	if len(spans) != 1 || spans[0].Phase != PhaseSnapshot || spans[0].NodesPeak != 3 || spans[0].Duration <= 0 {
 		t.Fatalf("EmitSpan recorded %+v", spans)
 	}
 }

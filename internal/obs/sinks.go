@@ -120,8 +120,8 @@ func (s *writerSink) Span(sp Span) {
 		})
 		return
 	}
-	fmt.Fprintf(s.w, "span phase=%s dur=%s patterns=%d ops=%d checks=%d nodes=%d\n",
-		sp.Phase, sp.Duration.Round(time.Microsecond), sp.Patterns, sp.Ops, sp.Checks, sp.Nodes)
+	fmt.Fprintf(s.w, "span phase=%s dur=%s %s\n",
+		sp.Phase, sp.Duration.Round(time.Microsecond), FormatCounts(sp.Counts))
 }
 
 func (s *writerSink) Progress(p Progress) {
@@ -140,8 +140,8 @@ func (s *writerSink) Progress(p Progress) {
 	if p.Final {
 		final = " final"
 	}
-	fmt.Fprintf(s.w, "progress elapsed=%s patterns=%d ops=%d checks=%d nodes=%d%s\n",
-		p.Elapsed.Round(time.Millisecond), p.Patterns, p.Ops, p.Checks, p.Nodes, final)
+	fmt.Fprintf(s.w, "progress elapsed=%s %s%s\n",
+		p.Elapsed.Round(time.Millisecond), FormatCounts(p.Counts), final)
 }
 
 func (s *writerSink) Note(n Note) {
@@ -156,8 +156,7 @@ func (s *writerSink) Note(n Note) {
 		})
 		return
 	}
-	fmt.Fprintf(s.w, "note kind=%s detail=%q patterns=%d ops=%d checks=%d nodes=%d\n",
-		n.Kind, n.Detail, n.Patterns, n.Ops, n.Checks, n.Nodes)
+	fmt.Fprintf(s.w, "note kind=%s detail=%q %s\n", n.Kind, n.Detail, FormatCounts(n.Counts))
 }
 
 func (s *writerSink) encode(e jsonEvent) {
@@ -180,9 +179,9 @@ var (
 // NewExpvarSink returns a sink publishing run counters as process-wide
 // expvar metrics under the map named name ("" selects
 // DefaultExpvarName), for /debug/vars style endpoints. Same-name sinks
-// share one map; progress counters reflect the latest snapshot of the
-// most recent run, span metrics (span_<phase>_count, span_<phase>_ms)
-// and runs accumulate across runs.
+// share one map; the progress counters, each under its Counts JSON key,
+// reflect the latest snapshot of the most recent run, span metrics
+// (span_<phase>_count, span_<phase>_ms) and runs accumulate across runs.
 func NewExpvarSink(name string) Sink {
 	if name == "" {
 		name = DefaultExpvarName
@@ -222,10 +221,7 @@ func (s *expvarSink) Span(sp Span) {
 func (s *expvarSink) Progress(p Progress) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.setInt("patterns", p.Patterns)
-	s.setInt("ops", p.Ops)
-	s.setInt("checks", p.Checks)
-	s.setInt("nodes_peak", p.Nodes)
+	eachCount(p.Counts, s.setInt)
 	s.setInt("elapsed_ms", p.Elapsed.Milliseconds())
 	s.m.Add("progress_events", 1)
 	if p.Final {

@@ -361,7 +361,7 @@ func minePreparedIsTa(pre *prep.Prepared, cfg runCfg, rep result.Reporter) error
 // to worker stripe w (every workers-th candidate starting at w) against
 // db's vertical view. Re-running a stripe is idempotent — supports land
 // in preassigned slots — which is what lets the supervisor retry it.
-func countStripe(db *txdb.DB, cands []itemset.Set, supp []int, w, workers, minsup int, done <-chan struct{}, g *guard.Guard, counters *mining.Counters) error {
+func countStripe(db *txdb.DB, cands []itemset.Set, supp []int, w, workers, minsup int, done <-chan struct{}, g *guard.Guard, counters *obs.Counters) error {
 	wctl := mining.GuardedCounted(done, g, counters)
 	sets := db.KernelSets()
 	// A flat kernel (no diffset results) because the ping-pong hold slots
@@ -389,7 +389,7 @@ func countStripe(db *txdb.DB, cands []itemset.Set, supp []int, w, workers, minsu
 // shard-locally. The guard's node budget bounds this shard's private
 // tree; the shared counters (may be nil) receive this shard's ops and
 // checkpoint counts.
-func mineShard(shard *txdb.DB, minsup int, done <-chan struct{}, g *guard.Guard, counters *mining.Counters) ([]result.Pattern, error) {
+func mineShard(shard *txdb.DB, minsup int, done <-chan struct{}, g *guard.Guard, counters *obs.Counters) ([]result.Pattern, error) {
 	ctl := mining.GuardedCounted(done, g, counters)
 	items := shard.NumItems()
 	n := shard.NumTx()

@@ -73,7 +73,7 @@ func (c *runCfg) supervise(kind string, unit int, degradable bool, firstErr erro
 		if !c.policy.Sleep(c.done, a) {
 			return false, nil, mining.ErrCanceled
 		}
-		counters.CountRetry()
+		counters.Add(obs.Counts{Retries: 1})
 		c.run.Note(obs.NoteRetry, fmt.Sprintf("%s %d attempt %d after: %v", kind, unit, a, err))
 		if err = attempt(); err == nil {
 			return true, nil, nil
@@ -85,7 +85,7 @@ func (c *runCfg) supervise(kind string, unit int, degradable bool, firstErr erro
 	if !degradable {
 		return false, nil, err
 	}
-	counters.CountDegraded()
+	counters.Add(obs.Counts{Degraded: 1})
 	c.run.Note(obs.NoteDegrade, fmt.Sprintf("%s %d abandoned after %d retries: %v", kind, unit, c.policy.MaxAttempts, err))
 	return false, &engine.ShardError{Shard: unit, Attempts: c.policy.MaxAttempts, Err: err}, nil
 }

@@ -157,7 +157,7 @@ func Open(dir string, opt Options) (*Durable, error) {
 			}
 		}
 	}
-	obs.EmitSpan(opt.Obs, obs.PhaseRecover, recoverStart, obs.Counts{Nodes: int64(m.NodeCount())})
+	obs.EmitSpan(opt.Obs, obs.PhaseRecover, recoverStart, obs.Counts{NodesPeak: int64(m.NodeCount())})
 	d := &Durable{fs: fs, dir: dir, opt: opt, m: m, snap: snapStep, report: report}
 	// Start a fresh active segment at the recovered step. If a segment
 	// with this base already exists it holds no durable records beyond
@@ -183,7 +183,7 @@ func (d *Durable) retryIO(what string, op func() error) error {
 		d.report.Retried++
 		obs.EmitNote(d.opt.Obs, obs.NoteRetry,
 			fmt.Sprintf("%s attempt %d after: %v", what, attempt, err),
-			obs.Counts{Nodes: int64(d.m.NodeCount())})
+			obs.Counts{NodesPeak: int64(d.m.NodeCount())})
 	}, op)
 }
 
@@ -382,7 +382,7 @@ func (d *Durable) Snapshot() error {
 	if err != nil {
 		return d.fail(err)
 	}
-	obs.EmitSpan(d.opt.Obs, obs.PhaseSnapshot, snapStart, obs.Counts{Nodes: int64(d.m.NodeCount())})
+	obs.EmitSpan(d.opt.Obs, obs.PhaseSnapshot, snapStart, obs.Counts{NodesPeak: int64(d.m.NodeCount())})
 	// The snapshot is durable; records up to step no longer need the old
 	// segment. Open the new segment before closing the old one so a
 	// failure in between cannot leave the store without an active log.
@@ -406,7 +406,7 @@ func (d *Durable) Snapshot() error {
 		return d.fail(err)
 	}
 	d.cleanup()
-	obs.EmitSpan(d.opt.Obs, obs.PhaseRotate, rotateStart, obs.Counts{Nodes: int64(d.m.NodeCount())})
+	obs.EmitSpan(d.opt.Obs, obs.PhaseRotate, rotateStart, obs.Counts{NodesPeak: int64(d.m.NodeCount())})
 	return nil
 }
 

@@ -50,7 +50,7 @@ func TestDurableObsSpans(t *testing.T) {
 		t.Fatalf("rotate spans = %d, want 3", n)
 	}
 	for _, s := range spans {
-		if s.Phase == obs.PhaseSnapshot && s.Counts.Nodes <= 0 {
+		if s.Phase == obs.PhaseSnapshot && s.NodesPeak <= 0 {
 			t.Fatalf("snapshot span carries no node count: %+v", s)
 		}
 	}

@@ -194,7 +194,8 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		writeDraining(w)
 		return
 	}
-	defer s.finish(start, "mine")
+	var st fim.MiningStats
+	defer func() { s.finish(start, "mine", st.Counts) }()
 
 	r.Body = http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
 	db, req, err := decodeMineRequest(r, s.opt.Limits)
@@ -238,8 +239,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		maxNodes = s.opt.MaxTreeNodes
 	}
 
-	var set fim.ResultSet
-	mineErr := fim.Mine(db, fim.Options{
+	opts := fim.Options{
 		MinSupport:   req.MinSupport,
 		Algorithm:    fim.Algorithm(req.Algorithm),
 		Target:       target,
@@ -248,7 +248,14 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 		MaxPatterns:  maxPatterns,
 		MaxTreeNodes: maxNodes,
 		Parallelism:  req.Workers,
-	}, set.Collect())
+	}
+	if s.opt.Obs != nil {
+		// The request:mine span carries the run's counters; without a
+		// sink Mine gets no Stats and stays counter-free.
+		opts.Stats = &st
+	}
+	var set fim.ResultSet
+	mineErr := fim.Mine(db, opts, set.Collect())
 
 	status, reason, err := classify(mineErr)
 	if err != nil {
@@ -305,7 +312,7 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 		writeDraining(w)
 		return
 	}
-	defer s.finish(start, "tx")
+	defer s.finish(start, "tx", obs.Counts{})
 
 	if s.store == nil {
 		writeError(w, http.StatusNotFound, "no durable store configured", 0)
@@ -368,7 +375,7 @@ func (s *Server) handleClosed(w http.ResponseWriter, r *http.Request) {
 		writeDraining(w)
 		return
 	}
-	defer s.finish(start, "closed")
+	defer s.finish(start, "closed", obs.Counts{})
 
 	if s.store == nil {
 		writeError(w, http.StatusNotFound, "no durable store configured", 0)
@@ -442,14 +449,14 @@ func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // finish closes out one request: drain accounting, the per-request
-// span, and a fresh gauge snapshot. A nil sink pays only the drain
-// check.
-func (s *Server) finish(start time.Time, phase string) {
+// span carrying the request's counters c, and a fresh gauge snapshot. A
+// nil sink pays only the drain check.
+func (s *Server) finish(start time.Time, phase string, c obs.Counts) {
 	if s.latch.end() {
 		s.drained.Add(1)
 	}
 	if s.opt.Obs != nil {
-		obs.EmitSpan(s.opt.Obs, obs.PhaseRequest+":"+phase, start, obs.Counts{})
+		obs.EmitSpan(s.opt.Obs, obs.PhaseRequest+":"+phase, start, c)
 		s.publishGauges()
 	}
 }

@@ -390,10 +390,14 @@ func TestGaugesPublished(t *testing.T) {
 	rec := &obs.Recorder{}
 	_, ts := newTestServer(t, Options{Obs: rec})
 	resp, data := postJSON(t, ts.URL+"/mine", mineRequest{
-		Transactions: [][]int{{0, 1}}, MinSupport: 1,
+		Transactions: [][]int{{0, 1}, {0, 1}, {0, 2}}, MinSupport: 1,
 	})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("mine: status %d, body %s", resp.StatusCode, data)
+	}
+	var mr mineResponse
+	if err := json.Unmarshal(data, &mr); err != nil || mr.Count != 3 {
+		t.Fatalf("mine: count %d (err %v), want 3", mr.Count, err)
 	}
 	g := rec.Gauges()
 	if g["serve_admitted_total"] != 1 {
@@ -404,14 +408,18 @@ func TestGaugesPublished(t *testing.T) {
 			t.Errorf("gauge %s not published (gauges: %v)", name, g)
 		}
 	}
-	// Per-request span with the request phase prefix.
+	// Per-request span with the request phase prefix, carrying the
+	// counters of the request's mining run.
 	var found bool
 	for _, sp := range rec.Spans() {
-		if strings.HasPrefix(sp.Phase, obs.PhaseRequest) {
+		if sp.Phase == obs.PhaseRequest+":mine" {
 			found = true
+			if sp.Patterns != int64(mr.Count) || sp.Checks == 0 {
+				t.Errorf("request:mine span counts = %+v, want patterns=%d and the run's checks", sp.Counts, mr.Count)
+			}
 		}
 	}
 	if !found {
-		t.Errorf("no request span recorded (spans: %v)", rec.Spans())
+		t.Errorf("no request:mine span recorded (spans: %v)", rec.Spans())
 	}
 }

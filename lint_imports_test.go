@@ -70,6 +70,8 @@ func TestNoDirectAlgorithmImports(t *testing.T) {
 //  1. internal/tidset is a leaf: it may import nothing of this module at
 //     all (it sits next to internal/itemset), so every layer — txdb,
 //     miners, parallel engines — can share one kernel implementation.
+//     internal/obs, the one counter schema that mining, engine, bench
+//     and the commands share, is a leaf for the same reason.
 //  2. internal/txdb may import nothing of this module above
 //     internal/itemset and internal/tidset — it must stay usable from
 //     every layer without dragging in miners, prep, or I/O.
@@ -110,6 +112,10 @@ func TestTxdbLayering(t *testing.T) {
 	checkImports("internal/tidset",
 		func(ip string) bool { return false },
 		"tidset is a leaf package and may not import anything of this module")
+
+	checkImports("internal/obs",
+		func(ip string) bool { return false },
+		"obs is a leaf package and may not import anything of this module")
 
 	checkImports("internal/txdb",
 		func(ip string) bool {

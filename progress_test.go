@@ -2,6 +2,7 @@ package fim
 
 import (
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -27,8 +28,9 @@ func (l *progressLog) snapshot() []ProgressEvent {
 	return append([]ProgressEvent(nil), l.events...)
 }
 
-// checkMonotone fails the test unless every counter and the elapsed time
-// are non-decreasing across the events and exactly the last is Final.
+// checkMonotone fails the test unless the elapsed time and every field of
+// Counts are non-decreasing across the events and exactly the last is
+// Final.
 func checkMonotone(t *testing.T, events []ProgressEvent) {
 	t.Helper()
 	if len(events) == 0 {
@@ -42,17 +44,24 @@ func checkMonotone(t *testing.T, events []ProgressEvent) {
 			continue
 		}
 		prev := events[i-1]
-		if p.Elapsed < prev.Elapsed || p.Patterns < prev.Patterns ||
-			p.Ops < prev.Ops || p.Checks < prev.Checks || p.Nodes < prev.Nodes {
-			t.Fatalf("event %d not monotone: %+v after %+v", i, p, prev)
+		if p.Elapsed < prev.Elapsed {
+			t.Fatalf("event %d: elapsed %v after %v", i, p.Elapsed, prev.Elapsed)
+		}
+		cur, old := reflect.ValueOf(p.Counts), reflect.ValueOf(prev.Counts)
+		for f := 0; f < cur.NumField(); f++ {
+			if cur.Field(f).Int() < old.Field(f).Int() {
+				t.Fatalf("event %d: %s not monotone: %+v after %+v",
+					i, cur.Type().Field(f).Name, p.Counts, prev.Counts)
+			}
 		}
 	}
 }
 
 // TestProgressConformance is the observability conformance check: with
 // progress enabled, snapshots are monotone, the final snapshot agrees
-// exactly with MiningStats, and the parallel run reports the identical
-// pattern set to the sequential one.
+// exactly with MiningStats on every counter, and the parallel run reports
+// the identical pattern set to the sequential one. Eclat runs on the
+// tid-set kernel, so its kernel counters must reach the events too.
 func TestProgressConformance(t *testing.T) {
 	restore := mining.SetCheckInterval(1)
 	defer restore()
@@ -67,31 +76,35 @@ func TestProgressConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, workers := range []int{0, 4} {
-		var log progressLog
-		var st MiningStats
-		var out ResultSet
-		err := Mine(db, Options{
-			MinSupport:       minsup,
-			Parallelism:      workers,
-			Stats:            &st,
-			OnProgress:       log.add,
-			ProgressInterval: time.Nanosecond,
-		}, out.Collect())
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		out.Sort()
-		if !out.Equal(seq) {
-			t.Fatalf("workers=%d: pattern set differs from sequential:\n%s", workers, out.Diff(seq, 10))
-		}
+	for _, algo := range []Algorithm{IsTa, EclatClosed} {
+		for _, workers := range []int{0, 4} {
+			var log progressLog
+			var st MiningStats
+			var out ResultSet
+			err := Mine(db, Options{
+				Algorithm:        algo,
+				MinSupport:       minsup,
+				Parallelism:      workers,
+				Stats:            &st,
+				OnProgress:       log.add,
+				ProgressInterval: time.Nanosecond,
+			}, out.Collect())
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", algo, workers, err)
+			}
+			out.Sort()
+			if !out.Equal(seq) {
+				t.Fatalf("%s workers=%d: pattern set differs from sequential:\n%s", algo, workers, out.Diff(seq, 10))
+			}
 
-		events := log.snapshot()
-		checkMonotone(t, events)
-		final := events[len(events)-1]
-		if final.Patterns != st.Patterns || final.Ops != st.Ops ||
-			final.Checks != st.Checks || final.Nodes != st.NodesPeak {
-			t.Fatalf("workers=%d: final snapshot %+v disagrees with stats %+v", workers, final.Counts, st)
+			events := log.snapshot()
+			checkMonotone(t, events)
+			if final := events[len(events)-1]; final.Counts != st.Counts {
+				t.Fatalf("%s workers=%d: final snapshot %+v disagrees with stats %+v", algo, workers, final.Counts, st.Counts)
+			}
+			if algo == EclatClosed && (st.Isects == 0 || st.EarlyStops == 0) {
+				t.Fatalf("eclat workers=%d: kernel counters not collected: %+v", workers, st.Counts)
+			}
 		}
 	}
 }
