@@ -1,28 +1,25 @@
 package core
 
-// Compact rebuilds the tree into a fresh arena in preorder (the exact
-// order isect traverses it: node, then its children, then its sibling).
-// The tree's logical structure is unchanged; only the memory layout
-// improves. Because intersection passes dominate the run time and stream
-// over millions of nodes, laying the nodes out in traversal order turns
-// most link dereferences into sequential memory access. Mine calls it
-// together with Prune, so the cost is amortized against tree growth.
+// Compact lays the tree out in preorder (the exact order isect traverses
+// it: node, then its children, then its sibling) by copying it into the
+// spare arena, which then becomes the tree's arena; the one it leaves is
+// recycled by the next pass. Only the memory layout changes: intersection
+// passes stream over millions of nodes, and traversal order turns most
+// link dereferences into sequential memory access. Prune leaves the same
+// layout, so Compact returns at once when no node has been allocated
+// since the last Prune or Compact.
 func (t *Tree) Compact() {
-	var fresh arena
-	t.children = compactList(&fresh, t.children)
-	t.arena = fresh
+	if t.arena.live != t.laid {
+		t.relayout(nil, 0)
+	}
 }
 
-func compactList(dst *arena, n *node) *node {
-	var head *node
-	tail := &head
-	for ; n != nil; n = n.sibling {
-		c := dst.alloc()
-		c.item, c.step, c.supp = n.item, n.step, n.supp
-		*tail = c
-		tail = &c.sibling
-		c.children = compactList(dst, n.children)
-	}
-	*tail = nil
-	return head
+// relayout is the one maintenance pass behind Prune and Compact: it copies
+// the tree into the spare arena in preorder, pruning at minSupport (0: no
+// pruning), and swaps the two arenas.
+func (t *Tree) relayout(remain []int, minSupport int32) {
+	t.spare.reset()
+	t.children = t.copyList(t.children, remain, minSupport)
+	t.arena, t.spare = t.spare, t.arena
+	t.laid = t.arena.live
 }

@@ -33,8 +33,10 @@ type Options struct {
 	Guard *guard.Guard
 }
 
-// pruneMinNodes avoids pruning while the tree is trivially small.
-const pruneMinNodes = 4096
+// IsTaAllocBudget is the checked-in budget, in bytes, for one Mine run
+// over gendata.Yeast(0.1, 1) at minsup 14 (TestMineAllocs and its CI step
+// enforce it): prep, two recycled node arenas and the report fit below it.
+const IsTaAllocBudget = 3 << 20
 
 // Mine runs IsTa on db and reports every closed item set with support at
 // least opts.MinSupport, in the database's original item codes. It is the
@@ -75,7 +77,6 @@ func minePrepared(pre *prep.Prepared, minsup int, disablePruning bool, ctl *mini
 	tree.SetCancel(func() bool {
 		return ctl.PollNodes(tree.NodeCount()) != nil || ctl.Canceled()
 	})
-	lastPruneNodes := 0
 	for k, n := 0, pdb.NumTx(); k < n; k++ {
 		t := pdb.Tx(k)
 		w := pdb.Weight(k)
@@ -96,14 +97,7 @@ func minePrepared(pre *prep.Prepared, minsup int, disablePruning bool, ctl *mini
 		for _, i := range t {
 			remain[i] -= w
 		}
-		// Prune when the tree has grown substantially since the last
-		// pass; the pass is linear in the tree size, so amortized cost
-		// stays proportional to growth.
-		if n := tree.NodeCount(); n >= pruneMinNodes && n >= lastPruneNodes+lastPruneNodes/8 {
-			tree.Prune(remain, minsup)
-			tree.Compact()
-			lastPruneNodes = tree.NodeCount()
-		}
+		tree.Maintain(remain, minsup)
 	}
 
 	// The report pass polls the same cancellation probe as the

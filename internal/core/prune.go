@@ -1,5 +1,19 @@
 package core
 
+// pruneMinNodes avoids pruning while the tree is trivially small.
+const pruneMinNodes = 4096
+
+// Maintain runs a batch miner's tree maintenance after a transaction: a
+// Prune pass once the tree holds at least pruneMinNodes nodes and has
+// grown by an eighth since the last pass. The pass is linear in the tree
+// size, so its amortized cost stays proportional to growth. remain is as
+// for Prune.
+func (t *Tree) Maintain(remain []int, minSupport int) {
+	if n := t.arena.live; n >= pruneMinNodes && n >= t.laid+t.laid/8 {
+		t.Prune(remain, minSupport)
+	}
+}
+
 // Prune implements the item-elimination scheme of §3.2: remain[i] must
 // hold the number of occurrences of item i in the not-yet-processed
 // transactions. A node is removed when supp + remain[item] < minSupport:
@@ -22,46 +36,49 @@ package core
 // because they either reappear as genuine intersections (and then carry
 // the correct support) or stay below minSupport and are filtered by
 // Report, exactly as argued in the paper.
+//
+// The pass is also the tree's compaction: it copies every kept node into
+// the spare arena in preorder, so it leaves the layout Compact describes.
+// At minSupport ≤ 1 nothing can be pruned and the pass only lays the tree
+// out.
 func (t *Tree) Prune(remain []int, minSupport int) {
 	if minSupport <= 1 {
-		return
+		minSupport = 0
 	}
-	t.children = t.prune(t.children, remain, int32(minSupport))
+	t.relayout(remain, int32(minSupport))
 }
 
-// prune processes one sibling list and returns its new head. Lifting a
-// pruned node's children into the remainder of the list keeps it sorted:
-// child items are smaller than the pruned item, which in turn is smaller
-// than every item already kept, so the ordered merge with the unprocessed
-// tail suffices and kept nodes can simply be appended; lifted nodes are
-// re-inspected by the continued loop like any other sibling.
-func (t *Tree) prune(list *node, remain []int, minSupport int32) *node {
+// copyList copies one sibling list into the spare arena, node, then its
+// children, then its siblings, and returns the copy's head. A node failing
+// the prune bound is not copied; its children are merged into the
+// unprocessed rest of the list instead. That keeps the list sorted: child
+// items are smaller than the pruned item, which in turn is smaller than
+// every item already copied, so the ordered merge with the tail suffices,
+// and lifted nodes are inspected by the continued loop like any other
+// sibling. minSupport 0 copies everything (remain is then not read).
+func (t *Tree) copyList(n *node, remain []int, minSupport int32) *node {
 	var head *node
 	tail := &head
-	n := list
 	for n != nil {
-		next := n.sibling
-		if n.supp+int32(remain[n.item]) < minSupport {
-			// No reportable set can retain this item below this node:
-			// remove the item, lift the children.
-			lifted := n.children
-			t.arena.release(n)
-			n = t.merge(lifted, next)
+		if minSupport > 0 && n.supp+int32(remain[n.item]) < minSupport {
+			n = merge(n.children, n.sibling)
 			continue
 		}
-		n.children = t.prune(n.children, remain, minSupport)
-		*tail = n
-		tail = &n.sibling
-		n = next
+		c := t.spare.alloc()
+		c.item, c.step, c.supp = n.item, n.step, n.supp
+		*tail = c
+		tail = &c.sibling
+		c.children = t.copyList(n.children, remain, minSupport)
+		n = n.sibling
 	}
-	*tail = nil
 	return head
 }
 
 // merge combines two sibling lists (both sorted by descending item code)
 // into one, merging nodes with equal items: the surviving node takes the
-// maximum support and the recursive merge of both child lists.
-func (t *Tree) merge(a, b *node) *node {
+// maximum support and the recursive merge of both child lists. It relinks
+// nodes of the arena a pass is copying from, which the pass discards.
+func merge(a, b *node) *node {
 	var head *node
 	tail := &head
 	for a != nil && b != nil {
@@ -79,13 +96,11 @@ func (t *Tree) merge(a, b *node) *node {
 			if b.supp > a.supp {
 				a.supp = b.supp
 			}
-			a.children = t.merge(a.children, b.children)
-			bn := b.sibling
-			t.arena.release(b)
+			a.children = merge(a.children, b.children)
 			*tail = a
 			tail = &a.sibling
 			a = a.sibling
-			b = bn
+			b = b.sibling
 		}
 	}
 	if a != nil {

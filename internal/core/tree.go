@@ -28,15 +28,17 @@ type node struct {
 }
 
 // arena is a slab allocator for nodes. It exists for the same reason the C
-// implementation manages its own node memory: IsTa allocates and (during
-// pruning) releases millions of small nodes, and a freelist plus slab
-// blocks is far cheaper than exercising the general-purpose allocator for
-// each one.
+// implementation manages its own node memory: IsTa allocates millions of
+// small nodes, and bumping through slab blocks is far cheaper than
+// exercising the general-purpose allocator for each one. Nodes are never
+// freed one by one: a maintenance pass (Prune, Compact) copies the
+// surviving nodes into the tree's spare arena, and the arena it leaves is
+// reset and becomes the next spare, its blocks reused.
 type arena struct {
 	blocks [][]node
-	used   int   // used entries in the last block
-	free   *node // freelist threaded through sibling pointers
-	live   int   // currently allocated (not freed) nodes
+	cur    int // blocks in use; the last of them is being filled
+	used   int // used entries in blocks[cur-1]
+	live   int // nodes handed out since the last reset
 }
 
 const arenaBlock = 8192
@@ -48,37 +50,35 @@ const arenaBlock = 8192
 // active.
 var TestHookAlloc func(live int)
 
+// alloc hands out a zeroed node.
 func (a *arena) alloc() *node {
 	a.live++
 	if h := TestHookAlloc; h != nil {
 		h(a.live)
 	}
-	if n := a.free; n != nil {
-		a.free = n.sibling
-		*n = node{}
-		return n
-	}
-	if len(a.blocks) == 0 || a.used == arenaBlock {
-		a.blocks = append(a.blocks, make([]node, arenaBlock))
+	if a.cur == 0 || a.used == arenaBlock {
+		if a.cur == len(a.blocks) {
+			a.blocks = append(a.blocks, make([]node, arenaBlock))
+		}
+		a.cur++
 		a.used = 0
 	}
-	n := &a.blocks[len(a.blocks)-1][a.used]
+	n := &a.blocks[a.cur-1][a.used]
 	a.used++
+	*n = node{}
 	return n
 }
 
-func (a *arena) release(n *node) {
-	a.live--
-	n.sibling = a.free
-	n.children = nil
-	a.free = n
-}
+// reset empties the arena, keeping its blocks for the next allocations.
+func (a *arena) reset() { a.cur, a.used, a.live = 0, 0, 0 }
 
 // Tree is the IsTa repository: a prefix tree over item codes together with
 // the per-transaction scratch state of the intersection pass.
 type Tree struct {
-	children *node // root's child list (the root represents the empty set)
-	arena    arena
+	children *node  // root's child list (the root represents the empty set)
+	arena    arena  // holds every node of the tree
+	spare    arena  // target of the next maintenance pass (see Prune)
+	laid     int    // node count after the last Prune or Compact
 	trans    []bool // membership flags of the current transaction (Fig. 2's trans[])
 	imin     int32  // lowest item code in the current transaction
 	step     int32  // current update step = number of transactions processed

@@ -159,24 +159,36 @@ func TestDuplicateTransactions(t *testing.T) {
 
 func TestArenaReuse(t *testing.T) {
 	var a arena
-	n1 := a.alloc()
-	n1.item = 7
-	n2 := a.alloc()
-	if a.live != 2 {
+	// Fill one block and part of a second with dirty nodes.
+	total := arenaBlock + 10
+	for i := 0; i < total; i++ {
+		n := a.alloc()
+		n.item, n.step, n.supp = 7, 3, 2
+		n.sibling, n.children = n, n
+	}
+	if a.live != total {
 		t.Fatalf("live = %d", a.live)
 	}
-	a.release(n1)
-	if a.live != 1 {
-		t.Fatalf("live = %d", a.live)
+	blocks := len(a.blocks)
+	first, second := &a.blocks[0][0], &a.blocks[1][0]
+	a.reset()
+	if a.live != 0 {
+		t.Fatalf("live after reset = %d", a.live)
 	}
-	n3 := a.alloc()
-	if n3 != n1 {
-		t.Fatal("freelist should hand back the released node")
+	for i := 0; i < total; i++ {
+		n := a.alloc()
+		switch {
+		case i == 0 && n != first:
+			t.Fatal("reset arena should hand out its first block again")
+		case i == arenaBlock && n != second:
+			t.Fatal("reset arena should hand out its second block again")
+		case n.children != nil || n.step != 0 || *n != (node{}):
+			t.Fatalf("recycled node %d not zeroed: %+v", i, *n)
+		}
 	}
-	if n3.item != 0 || n3.sibling != nil || n3.children != nil {
-		t.Fatal("recycled node must be zeroed")
+	if len(a.blocks) != blocks || a.live != total {
+		t.Fatalf("blocks = %d (want %d), live = %d", len(a.blocks), blocks, a.live)
 	}
-	_ = n2
 }
 
 func TestArenaManyBlocks(t *testing.T) {

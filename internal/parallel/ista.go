@@ -246,7 +246,6 @@ func minePreparedIsTa(pre *prep.Prepared, cfg runCfg, rep result.Reporter) error
 	mtree.SetCancel(func() bool {
 		return ctl.PollNodes(mtree.NodeCount()) != nil || ctl.Canceled()
 	})
-	lastPruneNodes := 0
 	for _, p := range replay {
 		if err := ctl.Tick(); err != nil {
 			return err
@@ -262,11 +261,7 @@ func minePreparedIsTa(pre *prep.Prepared, cfg runCfg, rep result.Reporter) error
 		for _, it := range p.items {
 			remain[it] -= p.weight
 		}
-		if n := mtree.NodeCount(); n >= 4096 && n >= lastPruneNodes+lastPruneNodes/8 {
-			mtree.Prune(remain, minsup)
-			mtree.Compact()
-			lastPruneNodes = mtree.NodeCount()
-		}
+		mtree.Maintain(remain, minsup)
 	}
 	var cands []itemset.Set
 	mtree.Walk(func(s itemset.Set, _ int) {
@@ -407,7 +402,6 @@ func mineShard(shard *txdb.DB, minsup int, done <-chan struct{}, g *guard.Guard,
 			}
 		}
 	}
-	lastPruneNodes := 0
 	for k := 0; k < n; k++ {
 		t := shard.Tx(k)
 		w := shard.Weight(k)
@@ -428,11 +422,7 @@ func mineShard(shard *txdb.DB, minsup int, done <-chan struct{}, g *guard.Guard,
 		for _, it := range t {
 			remain[it] -= w
 		}
-		if n := tree.NodeCount(); n >= 4096 && n >= lastPruneNodes+lastPruneNodes/8 {
-			tree.Prune(remain, minsup)
-			tree.Compact()
-			lastPruneNodes = tree.NodeCount()
-		}
+		tree.Maintain(remain, minsup)
 	}
 	var out []result.Pattern
 	tree.Report(minsup, func(s itemset.Set, supp int) {
