@@ -77,7 +77,8 @@ func NewTreeBuilder(items, step int) (*TreeBuilder, error) {
 	if step < 0 || step > math.MaxInt32 {
 		return nil, fmt.Errorf("core: step counter %d out of range", step)
 	}
-	t := NewTree(items)
+	// The root index is left to Finish (see there).
+	t := &Tree{trans: make([]bool, items)}
 	b := &TreeBuilder{t: t, step: int32(step)}
 	b.tails = append(b.tails, &t.children)
 	b.last = append(b.last, nil)
@@ -135,12 +136,19 @@ func (b *TreeBuilder) Add(r NodeRecord) error {
 // Nodes returns the number of nodes added so far.
 func (b *TreeBuilder) Nodes() int { return b.nodes }
 
-// Finish completes the rebuild and returns the tree.
+// Finish completes the rebuild and returns the tree. It derives the root
+// index from the rebuilt root list; the stream never carries it. Deriving
+// it here rather than per record keeps its 8 bytes per item unallocated
+// until the caller has validated the whole stream (internal/persist calls
+// Finish only after the checksum matched), so a corrupt header declaring a
+// huge item universe costs no more than the membership flags.
 func (b *TreeBuilder) Finish() (*Tree, error) {
 	if b.t == nil {
 		return nil, fmt.Errorf("core: builder already finished")
 	}
 	t := b.t
+	t.top = make([]*node, len(t.trans))
+	t.indexRoots()
 	t.step = b.step
 	b.t = nil
 	return t, nil

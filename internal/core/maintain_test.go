@@ -19,12 +19,20 @@ import (
 // item-elimination prune it replaced, which relinks the tree's own nodes
 // and only drops the removed ones from the live count. refCompact then
 // rebuilds the tree in preorder into a fresh arena, as the separate
-// compaction did.
+// compaction did. Both assign the root list directly, so both rebuild the
+// root index from it.
 func refPrune(t *Tree, remain []int, minSupport int) {
 	if minSupport <= 1 {
 		return
 	}
 	t.children = refPruneList(t, t.children, remain, int32(minSupport))
+	reindex(t)
+}
+
+// reindex rebuilds the root index from the root list.
+func reindex(t *Tree) {
+	clear(t.top)
+	t.indexRoots()
 }
 
 func refPruneList(t *Tree, list *node, remain []int, minSupport int32) *node {
@@ -85,6 +93,7 @@ func refCompact(t *Tree) {
 	var fresh arena
 	t.children = refCompactList(&fresh, t.children)
 	t.arena = fresh
+	reindex(t)
 }
 
 func refCompactList(dst *arena, n *node) *node {
@@ -179,6 +188,7 @@ func lockstep(t *testing.T, pdb *txdb.DB, weights []int, remain []int, minsup, e
 			t.Fatalf("minsup %d, pass %d: NodeCount %d, reference %d", minsup, passes, fused.NodeCount(), ref.NodeCount())
 		}
 		checkPreorder(t, fused)
+		checkIndex(t, fused)
 	}
 	if got, want := reported(fused, minsup), reported(ref, minsup); got != want {
 		t.Fatalf("minsup %d: Report differs:\n%s\n%s", minsup, got, want)

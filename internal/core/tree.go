@@ -74,15 +74,25 @@ func (a *arena) reset() { a.cur, a.used, a.live = 0, 0, 0 }
 
 // Tree is the IsTa repository: a prefix tree over item codes together with
 // the per-transaction scratch state of the intersection pass.
+//
+// top indexes the root's child list by item: top[i] is the root-level node
+// of item i, or nil. Fig. 2 finds a root-level node by scanning the root
+// list, which soon holds a node for most items, and every intersection
+// whose leading items are absent from the transaction starts looking
+// there; the index makes those lookups constant time. The linked list stays the tree's structure (every traversal uses
+// it), and top is derived from it: it is set where a root node is created
+// (newRoot), rebuilt by relayout and derived by TreeBuilder.Finish, and it
+// is never serialized.
 type Tree struct {
-	children *node  // root's child list (the root represents the empty set)
-	arena    arena  // holds every node of the tree
-	spare    arena  // target of the next maintenance pass (see Prune)
-	laid     int    // node count after the last Prune or Compact
-	trans    []bool // membership flags of the current transaction (Fig. 2's trans[])
-	imin     int32  // lowest item code in the current transaction
-	step     int32  // current update step = number of transactions processed
-	weight   int32  // multiplicity of the current transaction (1 for AddTransaction)
+	children *node   // root's child list (the root represents the empty set)
+	top      []*node // top[i]: the node of item i in the root's child list, or nil
+	arena    arena   // holds every node of the tree
+	spare    arena   // target of the next maintenance pass (see Prune)
+	laid     int     // node count after the last Prune or Compact
+	trans    []bool  // membership flags of the current transaction (Fig. 2's trans[])
+	imin     int32   // lowest item code in the current transaction
+	step     int32   // current update step = number of transactions processed
+	weight   int32   // multiplicity of the current transaction (1 for AddTransaction)
 
 	// Cancellation support: a single intersection pass can stream over
 	// millions of nodes, so waiting for the pass to finish would make a
@@ -106,7 +116,7 @@ func (t *Tree) Aborted() bool { return t.aborted }
 
 // NewTree returns an empty tree over item codes 0..items-1.
 func NewTree(items int) *Tree {
-	return &Tree{trans: make([]bool, items)}
+	return &Tree{trans: make([]bool, items), top: make([]*node, items)}
 }
 
 // NodeCount returns the number of live tree nodes (excluding the root).
@@ -145,9 +155,15 @@ func (t *Tree) addWeighted(items itemset.Set, weight int32) {
 		return
 	}
 
-	// Insert the transaction's path (descending item codes from the root).
-	ins := &t.children
-	for i := len(items) - 1; i >= 0; i-- {
+	// Insert the transaction's path (descending item codes from the root):
+	// the root-level node through the index, the rest by list search.
+	hi := int32(items[len(items)-1])
+	c := t.top[hi]
+	if c == nil {
+		c = t.newRoot(hi)
+	}
+	ins := &c.children
+	for i := len(items) - 2; i >= 0; i-- {
 		it := int32(items[i])
 		for *ins != nil && (*ins).item > it {
 			ins = &(*ins).sibling
@@ -168,19 +184,44 @@ func (t *Tree) addWeighted(items itemset.Set, weight int32) {
 		t.trans[it] = true
 	}
 	t.imin = int32(items[0])
-	t.isect(t.children, &t.children)
+	t.isect(t.children, nil)
 	for _, it := range items {
 		t.trans[it] = false
 	}
+}
+
+// newRoot creates the root-level node of item i, which must not exist
+// yet, and indexes it. It is spliced into the root list after the nearest
+// root node with a greater item, found through the index, so the list
+// stays in descending order.
+func (t *Tree) newRoot(i int32) *node {
+	d := t.arena.alloc()
+	d.item = i
+	link := &t.children
+	for j := int(i) + 1; j < len(t.top); j++ {
+		if p := t.top[j]; p != nil {
+			link = &p.sibling
+			break
+		}
+	}
+	d.sibling = *link
+	*link = d
+	t.top[i] = d
+	return d
 }
 
 // isect is the recursive intersection procedure of Fig. 2. n traverses a
 // sibling list of the existing tree; ins points at the link that holds the
 // list representing the intersection of the already processed part of the
 // transaction with the set represented by the path to n, i.e. where nodes
-// for extended intersections must be looked up or inserted.
+// for extended intersections must be looked up or inserted. ins == nil
+// stands for the root's child list (the intersection so far is empty):
+// there the node of an item is looked up in t.top instead of by the list
+// search of Fig. 2, and a missing one is created by newRoot. Recursion
+// through a node whose item is not in the transaction passes ins on
+// unchanged, so nil stays nil until the first common item.
 func (t *Tree) isect(n *node, ins **node) {
-	trans, imin, step, weight := t.trans, t.imin, t.step, t.weight
+	trans, top, imin, step, weight := t.trans, t.top, t.imin, t.step, t.weight
 	for n != nil {
 		if t.aborted {
 			return // unwind promptly across all recursion levels
@@ -196,12 +237,18 @@ func (t *Tree) isect(n *node, ins **node) {
 		if trans[i] {
 			// The item is in the intersection: find or create the node
 			// for the extended intersection in the ins list.
-			d := *ins
-			for d != nil && d.item > i {
-				ins = &d.sibling
-				d = *ins
+			var d *node
+			if ins == nil {
+				d = top[i]
+			} else {
+				for d = *ins; d != nil && d.item > i; d = *ins {
+					ins = &d.sibling
+				}
+				if d != nil && d.item != i {
+					d = nil
+				}
 			}
-			if d != nil && d.item == i {
+			if d != nil {
 				// Existing node: update its support. If it was already
 				// updated in this step, discount the current transaction
 				// before taking the maximum (the step field acts as an
@@ -213,15 +260,18 @@ func (t *Tree) isect(n *node, ins **node) {
 					d.supp = n.supp
 				}
 				d.supp += weight
-				d.step = step
 			} else {
-				d = t.arena.alloc()
-				d.step = step
-				d.item = i
+				if ins == nil {
+					d = t.newRoot(i)
+				} else {
+					d = t.arena.alloc()
+					d.item = i
+					d.sibling = *ins
+					*ins = d
+				}
 				d.supp = n.supp + weight
-				d.sibling = *ins
-				*ins = d
 			}
+			d.step = step
 			if i <= imin {
 				// No item below imin can be in the transaction, so
 				// neither deeper nodes nor later siblings (all of which

@@ -36,9 +36,10 @@ const (
 
 	// MaxItems caps the item universe a decoder accepts. The tree's
 	// transaction-membership scratch array is allocated eagerly from
-	// this value, so it must be bounded before any input is trusted; the
-	// largest data set the paper mines (thrombin) has 139,351 items,
-	// leaving three orders of magnitude of headroom.
+	// this value (its root index only once the checksum matched), so it
+	// must be bounded before any input is trusted; the largest data set
+	// the paper mines (thrombin) has 139,351 items, leaving three orders
+	// of magnitude of headroom.
 	MaxItems = 1 << 26
 )
 

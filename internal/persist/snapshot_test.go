@@ -42,11 +42,11 @@ func miner(tb testing.TB, items int, trans []itemset.Set) *core.Incremental {
 // edges, and the encoding is deterministic.
 func TestSnapshotRoundTrip(t *testing.T) {
 	cases := [][]itemset.Set{
-		nil,                            // empty tree
-		{itemset.New(2, 0, 5)},         // single transaction
-		{{}},                           // single empty transaction (step only)
-		stream(9, 30, 3),               // random
-		append(stream(6, 20, 4), nil),  // trailing empty transaction
+		nil,                           // empty tree
+		{itemset.New(2, 0, 5)},        // single transaction
+		{{}},                          // single empty transaction (step only)
+		stream(9, 30, 3),              // random
+		append(stream(6, 20, 4), nil), // trailing empty transaction
 	}
 	for ci, trans := range cases {
 		m := miner(t, 10, trans)
