@@ -1,6 +1,8 @@
 package result
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -16,20 +18,42 @@ import (
 //
 // Sets are stored along root-to-node paths with item codes strictly
 // ascending. Every node caches the maximum support of any terminal set in
-// its subtree, which prunes the subsumption search.
+// its subtree, which prunes the subsumption search. Each node's children
+// are kept sorted by ascending item, so the search visits them in order
+// and stops at the first child item above the one it needs.
 type CFITree struct {
 	root cfiNode
 	n    int
 }
 
 type cfiNode struct {
-	children map[itemset.Item]*cfiNode
+	// kids is sorted by strictly ascending item.
+	kids []cfiChild
 	// maxSupp is the maximum support of any stored set whose path passes
 	// through or ends in this subtree.
 	maxSupp int
 	// termSupp is the support of the set ending exactly here (0 = none;
 	// valid because stored supports are always ≥ 1).
 	termSupp int
+}
+
+type cfiChild struct {
+	item itemset.Item
+	node *cfiNode
+}
+
+// child returns the child of node for item it, creating it in its sorted
+// position if it does not exist.
+func (node *cfiNode) child(it itemset.Item) *cfiNode {
+	i, found := slices.BinarySearchFunc(node.kids, it, func(c cfiChild, it itemset.Item) int {
+		return cmp.Compare(c.item, it)
+	})
+	if found {
+		return node.kids[i].node
+	}
+	next := &cfiNode{}
+	node.kids = slices.Insert(node.kids, i, cfiChild{it, next})
+	return next
 }
 
 // Len returns the number of stored sets.
@@ -42,18 +66,10 @@ func (t *CFITree) Insert(items itemset.Set, support int) {
 		node.maxSupp = support
 	}
 	for _, it := range items {
-		if node.children == nil {
-			node.children = make(map[itemset.Item]*cfiNode, 4)
+		node = node.child(it)
+		if support > node.maxSupp {
+			node.maxSupp = support
 		}
-		next := node.children[it]
-		if next == nil {
-			next = &cfiNode{}
-			node.children[it] = next
-		}
-		if support > next.maxSupp {
-			next.maxSupp = support
-		}
-		node = next
 	}
 	if support > node.termSupp {
 		node.termSupp = support
@@ -78,16 +94,17 @@ func subsumed(node *cfiNode, items itemset.Set, support int) bool {
 		return maxTerm(node) >= support
 	}
 	want := items[0]
-	for it, child := range node.children {
-		if it > want {
-			// Paths are ascending, so `want` cannot occur deeper.
-			continue
+	for _, c := range node.kids {
+		if c.item > want {
+			// Paths are ascending, so `want` cannot occur below this
+			// child or any later one.
+			break
 		}
-		if it == want {
-			if subsumed(child, items[1:], support) {
-				return true
-			}
-		} else if subsumed(child, items, support) {
+		if c.item == want {
+			// Every later child's item is above want.
+			return subsumed(c.node, items[1:], support)
+		}
+		if subsumed(c.node, items, support) {
 			return true
 		}
 	}
@@ -96,11 +113,11 @@ func subsumed(node *cfiNode, items itemset.Set, support int) bool {
 
 func maxTerm(node *cfiNode) int {
 	best := node.termSupp
-	for _, child := range node.children {
+	for _, c := range node.kids {
 		if node.maxSupp <= best {
 			break
 		}
-		if v := maxTerm(child); v > best {
+		if v := maxTerm(c.node); v > best {
 			best = v
 		}
 	}
