@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/carpenter"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gendata"
 	"repro/internal/itemset"
 	"repro/internal/naive"
@@ -28,6 +29,31 @@ var (
 	thrombinDB    *Database // Figure 7
 	webviewDB     *Database // Figure 8
 )
+
+// variantOf returns an unregistered copy of the named registration, the
+// way the bench harness builds its ablations.
+func variantOf(b *testing.B, name string) engine.Registration {
+	reg, ok := engine.Lookup(name)
+	if !ok {
+		b.Fatalf("%s is not registered", name)
+	}
+	return *reg
+}
+
+// runVariant runs the base registration b.N times, with Mine replaced
+// when mine is non-nil.
+func runVariant(b *testing.B, base string, mine engine.MineFunc, db *Database, minsup int) {
+	v := variantOf(b, base)
+	if mine != nil {
+		v.Mine = mine
+	}
+	for i := 0; i < b.N; i++ {
+		var counter result.Counter
+		if err := v.Run(db, engine.Spec{MinSupport: minsup}, &counter); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
 
 func workloads() {
 	onceWorkloads.Do(func() {
@@ -118,12 +144,11 @@ func BenchmarkOrderAblation(b *testing.B) {
 	}
 	for _, tc := range cases {
 		b.Run(tc.name, func(b *testing.B) {
+			v := variantOf(b, "ista")
+			v.Prep = prep.Config{Items: tc.io, Trans: tc.to}
 			for i := 0; i < b.N; i++ {
 				var counter result.Counter
-				err := core.Mine(yeastDB, core.Options{
-					MinSupport: 14, ItemOrder: tc.io, TransOrder: tc.to,
-				}, &counter)
-				if err != nil {
+				if err := v.Run(yeastDB, engine.Spec{MinSupport: 14}, &counter); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -135,37 +160,18 @@ func BenchmarkOrderAblation(b *testing.B) {
 // IsTa and the §3.1.1 item elimination of Carpenter, on and off.
 func BenchmarkPruneAblation(b *testing.B) {
 	workloads()
-	b.Run("ista/prune", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var counter result.Counter
-			if err := core.Mine(yeastDB, core.Options{MinSupport: 14}, &counter); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("ista/noprune", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			var counter result.Counter
-			if err := core.Mine(yeastDB, core.Options{MinSupport: 14, DisablePruning: true}, &counter); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	for _, elim := range []bool{true, false} {
-		name := "carpenter/elim"
-		if !elim {
-			name = "carpenter/noelim"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var counter result.Counter
-				err := carpenter.Mine(yeastDB, carpenter.Options{
-					MinSupport: 14, Variant: carpenter.Table, DisableElimination: !elim,
-				}, &counter)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
+	cases := []struct {
+		name, base string
+		mine       engine.MineFunc // nil: the registration's own
+	}{
+		{"ista/prune", "ista", nil},
+		{"ista/noprune", "ista", core.MineNoPrune},
+		{"carpenter/elim", "carpenter-table", nil},
+		{"carpenter/noelim", "carpenter-table", carpenter.MineTableNoElim},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			runVariant(b, tc.base, tc.mine, yeastDB, 14)
 		})
 	}
 }
@@ -174,23 +180,12 @@ func BenchmarkPruneAblation(b *testing.B) {
 // §3.1.1: prefix tree with flat top level versus a hash table.
 func BenchmarkRepoAblation(b *testing.B) {
 	workloads()
-	for _, hash := range []bool{false, true} {
-		name := "prefix-tree"
-		if hash {
-			name = "hash-table"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var counter result.Counter
-				err := carpenter.Mine(yeastDB, carpenter.Options{
-					MinSupport: 14, Variant: carpenter.Table, HashRepository: hash,
-				}, &counter)
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+	b.Run("prefix-tree", func(b *testing.B) {
+		runVariant(b, "carpenter-table", nil, yeastDB, 14)
+	})
+	b.Run("hash-table", func(b *testing.B) {
+		runVariant(b, "carpenter-table", carpenter.MineTableHash, yeastDB, 14)
+	})
 }
 
 // BenchmarkTable1Matrix measures building the Table 1 matrix

@@ -241,7 +241,8 @@ func contains(s, sub string) bool {
 }
 
 // TestStatsPopulated: a Stats-carrying run fills the observability fields
-// consistently with the reported result.
+// consistently with the reported result, and every miner counts work
+// (Cobbler's included, whose row blocks run nested Carpenter searches).
 func TestStatsPopulated(t *testing.T) {
 	db := paperExample()
 	for _, info := range AlgorithmInfos() {
@@ -265,6 +266,9 @@ func TestStatsPopulated(t *testing.T) {
 		}
 		if stats.PreppedTransactions > stats.Transactions || stats.PreppedItems > stats.Items {
 			t.Errorf("%s: prep cannot grow the database: %+v", info.Name, stats)
+		}
+		if stats.Ops <= 0 {
+			t.Errorf("%s: stats.Ops = %d, every miner counts its work", info.Name, stats.Ops)
 		}
 		if stats.String() == "" {
 			t.Errorf("%s: empty stats string", info.Name)

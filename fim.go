@@ -249,8 +249,9 @@ type Options struct {
 	// sets for Carpenter/Cobbler; per worker in a parallel run) to bound
 	// memory on dense inputs whose repository would otherwise grow
 	// exponentially. Mine returns an error wrapping ErrBudget once the
-	// cap is exceeded. Algorithms without a repository (FP-close, LCM,
-	// Eclat, SaM, Apriori) ignore the field.
+	// cap is exceeded. FP-close and Eclat keep their CFI-tree outside the
+	// budget, and LCM, SaM and Apriori keep no repository; all five ignore
+	// the field.
 	MaxTreeNodes int
 	// Retry, when enabled (MaxAttempts > 0), arms the self-healing
 	// supervisor in the parallel engines: a failed shard or branch worker
@@ -463,19 +464,6 @@ func MineAll(db Source, minSupport int) (*ResultSet, error) {
 func MineMaximal(db Source, minSupport int) (*ResultSet, error) {
 	var out ResultSet
 	err := Mine(db, Options{MinSupport: minSupport, Algorithm: EclatClosed, Target: TargetMaximal}, out.Collect())
-	if err != nil {
-		return nil, err
-	}
-	out.Sort()
-	return &out, nil
-}
-
-// MineApriori mines every frequent item set with the classic level-wise
-// Apriori algorithm. It exists mainly for didactic comparison; prefer
-// MineAll for real use.
-func MineApriori(db Source, minSupport int) (*ResultSet, error) {
-	var out ResultSet
-	err := Mine(db, Options{MinSupport: minSupport, Algorithm: Apriori, Target: TargetAll}, out.Collect())
 	if err != nil {
 		return nil, err
 	}

@@ -2,12 +2,17 @@ package fim
 
 import (
 	"testing"
+
+	"repro/internal/naive"
+	"repro/internal/result"
 )
 
 // FuzzMinerAgreement decodes fuzz bytes into a small transaction database
-// and checks that two structurally unrelated closed-set miners — IsTa
-// (transaction intersection) and LCM (item set enumeration) — produce the
-// identical result. Any divergence is a bug in one of them.
+// (at most 12 items) and checks every registered miner, on every target it
+// declares, against the brute-force oracles: ClosedByItemSubsets for
+// closed, FrequentByItemSubsets for all, and the maximal sets of the
+// closed oracle for maximal. The sharded parallel IsTa must reproduce the
+// closed oracle too. Any divergence is a bug in a miner.
 func FuzzMinerAgreement(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 2, 3, 4, 0, 1, 3}, uint8(2))
 	f.Add([]byte{}, uint8(1))
@@ -20,33 +25,38 @@ func FuzzMinerAgreement(f *testing.F) {
 		db := fuzzDB(raw)
 		minsup := int(minsupRaw%6) + 1
 
-		var ista, lcm, par ResultSet
-		if err := Mine(db, Options{MinSupport: minsup, Algorithm: IsTa}, ista.Collect()); err != nil {
+		closed, err := naive.ClosedByItemSubsets(db, minsup)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := Mine(db, Options{MinSupport: minsup, Algorithm: LCM}, lcm.Collect()); err != nil {
+		all, err := naive.FrequentByItemSubsets(db, minsup)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if !ista.Equal(&lcm) {
-			t.Fatalf("IsTa and LCM disagree (minsup=%d, db=%v):\n%s",
-				minsup, db, ista.Diff(&lcm, 10))
+		want := map[Target]*ResultSet{
+			TargetClosed:  closed,
+			TargetAll:     all,
+			TargetMaximal: result.FilterMaximal(closed),
 		}
-		// The sharded parallel engine must reproduce the same set.
+		for _, info := range AlgorithmInfos() {
+			for _, target := range info.Targets {
+				var got ResultSet
+				if err := Mine(db, Options{MinSupport: minsup, Algorithm: info.Name, Target: target}, got.Collect()); err != nil {
+					t.Fatalf("%s %s: %v", info.Name, target, err)
+				}
+				if !got.Equal(want[target]) {
+					t.Fatalf("%s %s disagrees with the oracle (minsup=%d, db=%v):\n%s",
+						info.Name, target, minsup, db, got.Diff(want[target], 10))
+				}
+			}
+		}
+		var par ResultSet
 		if err := Mine(db, Options{MinSupport: minsup, Algorithm: IsTa, Parallelism: 3}, par.Collect()); err != nil {
 			t.Fatal(err)
 		}
-		if !par.Equal(&ista) {
-			t.Fatalf("parallel IsTa disagrees (minsup=%d, db=%v):\n%s",
-				minsup, db, par.Diff(&ista, 10))
-		}
-		// Semantic spot checks on the agreed result.
-		for _, p := range ista.Patterns {
-			if p.Support < minsup {
-				t.Fatalf("infrequent pattern reported: %v", p)
-			}
-			if !IsClosed(db, p.Items) {
-				t.Fatalf("non-closed pattern reported: %v", p)
-			}
+		if !par.Equal(closed) {
+			t.Fatalf("parallel IsTa disagrees with the oracle (minsup=%d, db=%v):\n%s",
+				minsup, db, par.Diff(closed, 10))
 		}
 	})
 }

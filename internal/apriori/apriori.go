@@ -12,59 +12,15 @@ import (
 	"sort"
 
 	"repro/internal/engine"
-	"repro/internal/guard"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/prep"
 	"repro/internal/result"
-	"repro/internal/txdb"
 )
-
-// Target selects what Mine reports.
-//
-// Deprecated: Target and its constants are aliases for the shared
-// engine.Target; the zero value is Closed (it used to be All).
-type Target = engine.Target
-
-const (
-	// All reports every frequent item set.
-	All = engine.All
-	// Closed reports the closed frequent item sets.
-	Closed = engine.Closed
-	// Maximal reports the maximal frequent item sets.
-	Maximal = engine.Maximal
-)
-
-// Options configures the miner.
-type Options struct {
-	// MinSupport is the absolute minimum support; values < 1 act as 1.
-	MinSupport int
-	// Target selects closed (default), all, or maximal sets.
-	Target Target
-	// Done optionally cancels the run.
-	Done <-chan struct{}
-	// Guard optionally bounds the run (deadline and pattern budget). May
-	// be nil.
-	Guard *guard.Guard
-}
-
-// Mine runs Apriori on db, reporting patterns in original item codes.
-func Mine(db txdb.Source, opts Options, rep result.Reporter) error {
-	if err := txdb.Validate(db); err != nil {
-		return err
-	}
-	minsup := opts.MinSupport
-	if minsup < 1 {
-		minsup = 1
-	}
-	ctl := mining.Guarded(opts.Done, opts.Guard)
-	pre := prep.Prepare(db, minsup, prep.Config{Items: prep.OrderKeep, Trans: prep.OrderOriginal})
-	return minePrepared(pre, minsup, opts.Target, ctl, rep)
-}
 
 // minePrepared is the level-wise search on an already preprocessed
 // database.
-func minePrepared(pre *prep.Prepared, minsup int, target Target, ctl *mining.Control, rep result.Reporter) error {
+func minePrepared(pre *prep.Prepared, minsup int, target engine.Target, ctl *mining.Control, rep result.Reporter) error {
 	pdb := pre.DB
 	if pdb.NumItems() == 0 {
 		return nil
@@ -85,11 +41,11 @@ func minePrepared(pre *prep.Prepared, minsup int, target Target, ctl *mining.Con
 	var out func(items itemset.Set, supp int)
 	var filter *result.SubsumeFilter
 	switch target {
-	case All:
+	case engine.All:
 		out = func(items itemset.Set, supp int) {
 			rep.Report(pre.DecodeSet(items), supp)
 		}
-	case Closed, Maximal:
+	case engine.Closed, engine.Maximal:
 		// Collect closure candidates; every closed set is frequent and
 		// maximal in its support group among all frequent sets.
 		filter = result.NewSubsumeFilter()
@@ -153,14 +109,14 @@ func minePrepared(pre *prep.Prepared, minsup int, target Target, ctl *mining.Con
 	}
 
 	switch target {
-	case Closed:
+	case engine.Closed:
 		var closed result.Set
 		filter.Emit(closed.Collect())
 		closed.Sort()
 		for _, p := range closed.Patterns {
 			rep.Report(pre.DecodeSet(p.Items), p.Support)
 		}
-	case Maximal:
+	case engine.Maximal:
 		var closed result.Set
 		filter.Emit(closed.Collect())
 		maximal := result.FilterMaximal(&closed)

@@ -4,12 +4,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/naive"
 	"repro/internal/result"
 	"repro/internal/txdb"
 )
+
+// mine runs Apriori the way every caller does: through the engine.
+func mine(db txdb.Source, minsup int, target engine.Target, done <-chan struct{}, rep result.Reporter) error {
+	return engine.Run(db, "apriori", engine.Spec{MinSupport: minsup, Target: target, Done: done}, rep)
+}
 
 func randDB(rng *rand.Rand, items, n int, density float64) *txdb.DB {
 	b := txdb.NewBuilder(n, 0)
@@ -52,7 +58,7 @@ func TestAllMatchesBruteForce(t *testing.T) {
 		for _, minsup := range []int{1, 2} {
 			want := bruteAllFrequent(db, minsup)
 			var got result.Set
-			if err := Mine(db, Options{MinSupport: minsup, Target: All}, got.Collect()); err != nil {
+			if err := mine(db, minsup, engine.All, nil, got.Collect()); err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(want) {
@@ -73,7 +79,7 @@ func TestMaximal(t *testing.T) {
 		}
 		want := result.FilterMaximal(closed)
 		var got result.Set
-		if err := Mine(db, Options{MinSupport: minsup, Target: Maximal}, got.Collect()); err != nil {
+		if err := mine(db, minsup, engine.Maximal, nil, got.Collect()); err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
@@ -86,7 +92,7 @@ func TestEdgeCasesAndCancel(t *testing.T) {
 	var got result.Set
 	empty := txdb.NewBuilder(0, 0)
 	empty.SetNumItems(2)
-	if err := Mine(empty.Build(), Options{MinSupport: 1}, got.Collect()); err != nil {
+	if err := mine(empty.Build(), 1, engine.Closed, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 0 {
@@ -95,19 +101,19 @@ func TestEdgeCasesAndCancel(t *testing.T) {
 
 	bad := txdb.NewBuilder(0, 0)
 	bad.AddWeighted(itemset.Set{3, 1}, 1) // not canonical
-	if err := Mine(bad.Build(), Options{MinSupport: 1}, &result.Counter{}); err == nil {
+	if err := mine(bad.Build(), 1, engine.Closed, nil, &result.Counter{}); err == nil {
 		t.Fatal("expected validation error")
 	}
 	wide := txdb.NewBuilder(0, 0)
 	wide.AddInts(3)
-	if err := Mine(narrowed{wide.Build()}, Options{MinSupport: 1}, &result.Counter{}); err == nil {
+	if err := mine(narrowed{wide.Build()}, 1, engine.Closed, nil, &result.Counter{}); err == nil {
 		t.Fatal("expected validation error for an item outside the universe")
 	}
 
 	done := make(chan struct{})
 	close(done)
 	db := randDB(rand.New(rand.NewSource(13)), 30, 60, 0.5)
-	err := Mine(db, Options{MinSupport: 2, Done: done}, &result.Counter{})
+	err := mine(db, 2, engine.Closed, done, &result.Counter{})
 	if err != mining.ErrCanceled {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

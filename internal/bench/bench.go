@@ -22,8 +22,8 @@ import (
 	"repro/internal/txdb"
 
 	// Link the remaining algorithm packages (core and carpenter are
-	// imported above for the ablations) and the parallel engines; each
-	// registers itself with the engine from init.
+	// imported above for their ablation MineFuncs) and the parallel
+	// engines; each registers itself with the engine from init.
 	_ "repro/internal/cobbler"
 	_ "repro/internal/eclat"
 	_ "repro/internal/fpgrowth"
@@ -38,8 +38,7 @@ type Algo struct {
 	// Name is the short column label ("ista", "carp-table", ...).
 	Name string
 	// Run mines db at minsup, reporting into rep; done cancels. st, when
-	// non-nil, receives the run's counters and phase timings; algorithms
-	// that bypass the engine (the ablation variants) may leave it empty.
+	// non-nil, receives the run's counters and phase timings.
 	Run func(db txdb.Source, minsup int, done <-chan struct{}, st *engine.Stats, rep result.Reporter) error
 }
 
@@ -52,11 +51,34 @@ func engineAlgo(label, regName string, workers int) Algo {
 	}}
 }
 
-// Algorithms returns the algorithm registry keyed by name. The base
-// algorithms run through the engine registry (the code path cmd/fim and
-// fim.Mine use); the ablation variants keep their direct package entry
-// points because they toggle knobs the engine deliberately does not
-// expose.
+// variant returns a copy of the named registration, renamed to label, for
+// an ablation to replace Mine or Prep in. The copy is not registered; it
+// runs through Registration.Run with the same prep, guard, cancellation
+// and Stats as its base.
+func variant(label, base string) engine.Registration {
+	reg, ok := engine.Lookup(base)
+	if !ok {
+		panic(fmt.Sprintf("bench: ablation base %q is not registered", base))
+	}
+	v := *reg
+	v.Name = label
+	return v
+}
+
+// ablation is a bench Algo running the base registration with Mine
+// replaced, sequentially.
+func ablation(label, base string, mine engine.MineFunc) Algo {
+	v := variant(label, base)
+	v.Mine = mine
+	return Algo{label, func(db txdb.Source, ms int, done <-chan struct{}, st *engine.Stats, rep result.Reporter) error {
+		return v.Run(db, engine.Spec{MinSupport: ms, Workers: 1, Done: done, Stats: st}, rep)
+	}}
+}
+
+// Algorithms returns the algorithm registry keyed by name. Every entry
+// runs through the engine: the base algorithms by registered name (the
+// code path cmd/fim and fim.Mine use), the ablation variants as copies of
+// their base registration with Mine replaced.
 func Algorithms() map[string]Algo {
 	algos := []Algo{
 		engineAlgo("ista", "ista", 1),
@@ -68,18 +90,10 @@ func Algorithms() map[string]Algo {
 		engineAlgo("cobbler", "cobbler", 1),
 		engineAlgo("sam", "sam", 1),
 		engineAlgo("flat", "flat", 1),
-		{"ista-noprune", func(db txdb.Source, ms int, done <-chan struct{}, _ *engine.Stats, rep result.Reporter) error {
-			return core.Mine(db, core.Options{MinSupport: ms, Done: done, DisablePruning: true}, rep)
-		}},
-		{"carp-table-noelim", func(db txdb.Source, ms int, done <-chan struct{}, _ *engine.Stats, rep result.Reporter) error {
-			return carpenter.Mine(db, carpenter.Options{MinSupport: ms, Variant: carpenter.Table, DisableElimination: true, Done: done}, rep)
-		}},
-		{"carp-lists-noelim", func(db txdb.Source, ms int, done <-chan struct{}, _ *engine.Stats, rep result.Reporter) error {
-			return carpenter.Mine(db, carpenter.Options{MinSupport: ms, Variant: carpenter.Lists, DisableElimination: true, Done: done}, rep)
-		}},
-		{"carp-table-hash", func(db txdb.Source, ms int, done <-chan struct{}, _ *engine.Stats, rep result.Reporter) error {
-			return carpenter.Mine(db, carpenter.Options{MinSupport: ms, Variant: carpenter.Table, HashRepository: true, Done: done}, rep)
-		}},
+		ablation("ista-noprune", "ista", core.MineNoPrune),
+		ablation("carp-table-noelim", "carpenter-table", carpenter.MineTableNoElim),
+		ablation("carp-lists-noelim", "carpenter-lists", carpenter.MineListsNoElim),
+		ablation("carp-table-hash", "carpenter-table", carpenter.MineTableHash),
 	}
 	// Parallel engines at fixed worker counts, for the speedup experiment.
 	for _, p := range []int{2, 4, 8} {
@@ -103,10 +117,9 @@ type Cell struct {
 	Skipped  bool // earlier timeout at a higher support level
 	Err      error
 
-	// Per-phase split and counters of the run (from engine.Stats; zero
-	// for the ablation variants, which bypass the engine). The kernel
-	// counters (Isects, EarlyStops, RepSwitches) are zero for miners that
-	// do not run on the tidset kernel.
+	// Per-phase split and counters of the run (from engine.Stats). The
+	// kernel counters (Isects, EarlyStops, RepSwitches) are zero for
+	// miners that do not run on the tidset kernel.
 	PrepTime time.Duration
 	MineTime time.Duration
 	obs.Counts

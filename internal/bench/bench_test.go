@@ -6,8 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/gendata"
 	"repro/internal/itemset"
+	"repro/internal/result"
 	"repro/internal/txdb"
 )
 
@@ -33,6 +35,22 @@ func TestAlgorithmsRegistryComplete(t *testing.T) {
 		"cobbler", "sam", "ista-noprune", "carp-table-noelim", "carp-lists-noelim", "carp-table-hash"} {
 		if _, ok := algos[name]; !ok {
 			t.Errorf("algorithm %q missing from registry", name)
+		}
+	}
+}
+
+// TestEveryAlgorithmCarriesStats: every bench algorithm, the ablation
+// variants included, runs through the engine, so its cells carry the
+// run's Stats: the miner's name and the prep/mine split.
+func TestEveryAlgorithmCarriesStats(t *testing.T) {
+	db := smallDB()
+	for name, a := range Algorithms() {
+		var st engine.Stats
+		if err := a.Run(db, 3, nil, &st, &result.Counter{}); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if st.Algorithm == "" || st.MineTime <= 0 {
+			t.Errorf("%s: Stats not filled (algorithm %q, mine time %v)", name, st.Algorithm, st.MineTime)
 		}
 	}
 }

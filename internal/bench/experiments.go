@@ -6,7 +6,7 @@ import (
 	"runtime"
 	"time"
 
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gendata"
 	"repro/internal/prep"
 	"repro/internal/result"
@@ -264,10 +264,11 @@ func runOrders(cfg Config, w io.Writer) error {
 		{prep.OrderDescFreq, prep.OrderSizeDesc},
 		{prep.OrderKeep, prep.OrderSizeAsc},
 	} {
+		v := variant("ista", "ista")
+		v.Prep = prep.Config{Items: c.io, Trans: c.to}
 		var counter result.Counter
 		start := time.Now()
-		err := core.Mine(db, core.Options{MinSupport: minsup, ItemOrder: c.io, TransOrder: c.to}, &counter)
-		if err != nil {
+		if err := v.Run(db, engine.Spec{MinSupport: minsup}, &counter); err != nil {
 			return err
 		}
 		fmt.Fprintf(w, "%-16s  %-16s  %10s  %9d\n", c.io, c.to, formatSeconds(time.Since(start)), counter.N)

@@ -12,8 +12,7 @@ import (
 // BenchJSON is the machine-readable form of one experiment's
 // measurements, written as BENCH_<id>.json when Config.JSONDir is set.
 // Durations are milliseconds; the prep/mine split and the work counters
-// come from engine.Stats and are zero for the ablation variants that
-// bypass the engine.
+// come from engine.Stats, for the ablation variants too.
 type BenchJSON struct {
 	Experiment string    `json:"experiment"`
 	Workload   string    `json:"workload"`

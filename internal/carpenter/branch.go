@@ -38,22 +38,17 @@ type TableBrancher struct {
 	suffW  []int
 	minsup int
 	n      int
-	elim   bool
 }
 
 // NewTableBrancher builds the brancher. pre must come from prep.Prepare
-// with the minsup used here.
-func NewTableBrancher(pre *prep.Prepared, minsup int, disableElimination bool) *TableBrancher {
-	if minsup < 1 {
-		minsup = 1
-	}
+// with the minsup (≥ 1) used here.
+func NewTableBrancher(pre *prep.Prepared, minsup int) *TableBrancher {
 	return &TableBrancher{
 		pre:    pre,
 		matrix: pre.DB.Matrix().M,
 		suffW:  suffixWeights(pre.DB),
 		minsup: minsup,
 		n:      pre.DB.NumTx(),
-		elim:   !disableElimination,
 	}
 }
 
@@ -79,7 +74,7 @@ func (b *TableBrancher) Branches() []TableBranch {
 		for _, it := range root {
 			if cnt := row[it]; cnt > 0 {
 				matched++
-				if !b.elim || int(cnt) >= b.minsup {
+				if int(cnt) >= b.minsup {
 					child = append(child, it)
 				}
 			}
@@ -113,7 +108,7 @@ func (b *TableBrancher) NewWorker(done <-chan struct{}, g *guard.Guard, counters
 	return &TableWorker{m: &miner{
 		minsup: b.minsup,
 		n:      b.n,
-		elim:   b.elim,
+		elim:   true,
 		repo:   newRepoTree(b.pre.DB.NumItems()),
 		db:     b.pre.DB,
 		suffW:  b.suffW,

@@ -1,7 +1,6 @@
 package carpenter
 
 import (
-	"repro/internal/guard"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/prep"
@@ -30,49 +29,11 @@ func (v Variant) String() string {
 	return "carpenter-lists"
 }
 
-// Options configures the Carpenter miner. The zero value uses the
-// list-based variant with the paper's default preprocessing and item
-// elimination enabled.
-type Options struct {
-	// MinSupport is the absolute minimum support; values < 1 act as 1.
-	MinSupport int
-	// Variant selects lists or table representation.
-	Variant Variant
-	// ItemOrder / TransOrder select the preprocessing (§3.4).
-	ItemOrder  prep.ItemOrder
-	TransOrder prep.TransOrder
-	// DisableElimination turns off the item elimination optimization
-	// ("this optimization leads to a considerable speed-up", §3.1.1). It
-	// never changes the result.
-	DisableElimination bool
-	// HashRepository replaces the prefix-tree repository of §3.1.1 with a
-	// plain hash map keyed on the canonical set encoding. It never
-	// changes the result; it exists for the repository-layout ablation.
-	HashRepository bool
-	// Done optionally cancels the run.
-	Done <-chan struct{}
-	// Guard optionally bounds the run (deadline, pattern budget, and
-	// repository size via its node budget). May be nil.
-	Guard *guard.Guard
-}
-
-// Mine enumerates transaction sets per §3.1 and reports every closed item
-// set with support at least opts.MinSupport in original item codes.
-func Mine(db txdb.Source, opts Options, rep result.Reporter) error {
-	if err := txdb.Validate(db); err != nil {
-		return err
-	}
-	minsup := opts.MinSupport
-	if minsup < 1 {
-		minsup = 1
-	}
-	pre := prep.Prepare(db, minsup, prep.Config{Items: opts.ItemOrder, Trans: opts.TransOrder})
-	ctl := mining.Guarded(opts.Done, opts.Guard)
-	return minePrepared(pre, minsup, opts.Variant, opts.DisableElimination, opts.HashRepository, ctl, rep)
-}
-
 // minePrepared is the Carpenter search on an already preprocessed
-// database.
+// database. disableElimination turns off the item elimination of §3.1.1
+// ("this optimization leads to a considerable speed-up"); hashRepository
+// replaces the prefix-tree repository with a hash map on the canonical set
+// encoding. Neither ever changes the result.
 func minePrepared(pre *prep.Prepared, minsup int, variant Variant, disableElimination, hashRepository bool, ctl *mining.Control, rep result.Reporter) error {
 	pdb := pre.DB
 	if pdb.NumItems() == 0 || pdb.TotalWeight() < minsup {

@@ -4,7 +4,8 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
+	_ "repro/internal/core" // registers "ista", the cross-check reference
+	"repro/internal/engine"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/naive"
@@ -12,6 +13,21 @@ import (
 	"repro/internal/result"
 	"repro/internal/txdb"
 )
+
+// carpPrep is the preprocessing both Carpenter registrations declare.
+var carpPrep = prep.Config{Items: prep.OrderAscFreq, Trans: prep.OrderSizeAsc}
+
+// mine runs a Carpenter variant the way every caller does: through the
+// engine.
+func mine(db txdb.Source, v Variant, minsup int, done <-chan struct{}, rep result.Reporter) error {
+	return engine.Run(db, v.String(), engine.Spec{MinSupport: minsup, Done: done}, rep)
+}
+
+// mineWith runs minePrepared directly with the knobs the engine does not
+// expose: the §3.4 orders, item elimination and the repository layout.
+func mineWith(db txdb.Source, minsup int, cfg prep.Config, v Variant, noElim, hashRepo bool, done <-chan struct{}, rep result.Reporter) error {
+	return minePrepared(prep.Prepare(db, minsup, cfg), minsup, v, noElim, hashRepo, mining.NewControl(done), rep)
+}
 
 func randDB(rng *rand.Rand, items, n int, density float64) *txdb.DB {
 	b := txdb.NewBuilder(n, 0)
@@ -44,11 +60,7 @@ func TestMineMatchesOracle(t *testing.T) {
 			for _, variant := range []Variant{Lists, Table} {
 				for _, noElim := range []bool{false, true} {
 					var got result.Set
-					err := Mine(db, Options{
-						MinSupport:         minsup,
-						Variant:            variant,
-						DisableElimination: noElim,
-					}, got.Collect())
+					err := mineWith(db, minsup, carpPrep, variant, noElim, false, nil, got.Collect())
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -70,12 +82,12 @@ func TestVariantsMatchIsTaLarger(t *testing.T) {
 		db := randDB(rng, 40+rng.Intn(40), 40+rng.Intn(60), 0.15+rng.Float64()*0.25)
 		minsup := 2 + rng.Intn(6)
 		var want result.Set
-		if err := core.Mine(db, core.Options{MinSupport: minsup}, want.Collect()); err != nil {
+		if err := engine.Run(db, "ista", engine.Spec{MinSupport: minsup}, want.Collect()); err != nil {
 			t.Fatal(err)
 		}
 		for _, variant := range []Variant{Lists, Table} {
 			var got result.Set
-			if err := Mine(db, Options{MinSupport: minsup, Variant: variant}, got.Collect()); err != nil {
+			if err := mine(db, variant, minsup, nil, got.Collect()); err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(&want) {
@@ -100,7 +112,7 @@ func TestMineOrderInvariance(t *testing.T) {
 		for _, io := range []prep.ItemOrder{prep.OrderAscFreq, prep.OrderDescFreq, prep.OrderKeep} {
 			for _, to := range []prep.TransOrder{prep.OrderSizeAsc, prep.OrderSizeDesc, prep.OrderOriginal} {
 				var got result.Set
-				err := Mine(db, Options{MinSupport: minsup, ItemOrder: io, TransOrder: to, Variant: Table}, got.Collect())
+				err := mineWith(db, minsup, prep.Config{Items: io, Trans: to}, Table, false, false, nil, got.Collect())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,7 +128,7 @@ func TestMineEdgeCases(t *testing.T) {
 	var got result.Set
 	empty := txdb.NewBuilder(0, 0)
 	empty.SetNumItems(3)
-	if err := Mine(empty.Build(), Options{MinSupport: 1}, got.Collect()); err != nil {
+	if err := mine(empty.Build(), Lists, 1, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 0 {
@@ -126,7 +138,7 @@ func TestMineEdgeCases(t *testing.T) {
 	// minsup larger than n short-circuits.
 	db := txdb.FromInts([]int{0, 1}, []int{0, 1})
 	got = result.Set{}
-	if err := Mine(db, Options{MinSupport: 3}, got.Collect()); err != nil {
+	if err := mine(db, Lists, 3, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 0 {
@@ -135,7 +147,7 @@ func TestMineEdgeCases(t *testing.T) {
 
 	// Duplicate transactions.
 	got = result.Set{}
-	if err := Mine(db, Options{MinSupport: 2}, got.Collect()); err != nil {
+	if err := mine(db, Lists, 2, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	var want result.Set
@@ -146,12 +158,12 @@ func TestMineEdgeCases(t *testing.T) {
 
 	bad := txdb.NewBuilder(0, 0)
 	bad.AddWeighted(itemset.Set{3, 1}, 1) // not canonical
-	if err := Mine(bad.Build(), Options{MinSupport: 1}, &result.Counter{}); err == nil {
+	if err := mine(bad.Build(), Lists, 1, nil, &result.Counter{}); err == nil {
 		t.Fatal("expected validation error")
 	}
 	wide := txdb.NewBuilder(0, 0)
 	wide.AddInts(3)
-	if err := Mine(narrowed{wide.Build()}, Options{MinSupport: 1}, &result.Counter{}); err == nil {
+	if err := mine(narrowed{wide.Build()}, Lists, 1, nil, &result.Counter{}); err == nil {
 		t.Fatal("expected validation error for an item outside the universe")
 	}
 }
@@ -161,7 +173,7 @@ func TestMineCancel(t *testing.T) {
 	close(done)
 	db := randDB(rand.New(rand.NewSource(5)), 60, 120, 0.4)
 	for _, v := range []Variant{Lists, Table} {
-		err := Mine(db, Options{MinSupport: 2, Variant: v, Done: done}, &result.Counter{})
+		err := mine(db, v, 2, done, &result.Counter{})
 		if err != mining.ErrCanceled {
 			t.Fatalf("%v: err = %v, want ErrCanceled", v, err)
 		}

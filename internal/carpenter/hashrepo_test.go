@@ -21,7 +21,7 @@ func TestHashRepositoryEquivalence(t *testing.T) {
 		}
 		for _, v := range []Variant{Lists, Table} {
 			var got result.Set
-			err := Mine(db, Options{MinSupport: minsup, Variant: v, HashRepository: true}, got.Collect())
+			err := mineWith(db, minsup, carpPrep, v, false, true, nil, got.Collect())
 			if err != nil {
 				t.Fatal(err)
 			}

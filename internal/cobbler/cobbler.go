@@ -18,7 +18,6 @@ package cobbler
 
 import (
 	"repro/internal/carpenter"
-	"repro/internal/guard"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/prep"
@@ -27,47 +26,16 @@ import (
 	"repro/internal/txdb"
 )
 
-// Options configures the miner.
-type Options struct {
-	// MinSupport is the absolute minimum support; values < 1 act as 1.
-	MinSupport int
-	// RowThreshold is the cover size at or below which the search
-	// switches to row enumeration. 0 selects the default (32). A value
-	// ≥ the transaction count makes the miner behave like a single
-	// Carpenter run; a negative value disables switching entirely
-	// (degenerating to pure column enumeration).
-	RowThreshold int
-	// Done optionally cancels the run.
-	Done <-chan struct{}
-	// Guard optionally bounds the run (deadline, pattern budget, and
-	// reported-set repository size via its node budget). May be nil.
-	Guard *guard.Guard
-}
-
 // defaultRowThreshold balances the two search styles: row enumeration is
 // exponential in the cover size, so blocks must stay small.
 const defaultRowThreshold = 32
 
-// Mine runs the combined column/row enumeration on db and reports every
-// closed item set with support at least opts.MinSupport in original item
-// codes.
-func Mine(db txdb.Source, opts Options, rep result.Reporter) error {
-	if err := txdb.Validate(db); err != nil {
-		return err
-	}
-	minsup := opts.MinSupport
-	if minsup < 1 {
-		minsup = 1
-	}
-	pre := prep.Prepare(db, minsup, prep.Config{Items: prep.OrderAscFreq, Trans: prep.OrderOriginal})
-	ctl := mining.Guarded(opts.Done, opts.Guard)
-	return minePrepared(pre, minsup, opts.RowThreshold, opts.Guard, ctl, rep)
-}
-
 // minePrepared is the combined column/row enumeration on an already
-// preprocessed database. g is the shared guard (needed separately from
-// ctl because nested Carpenter runs build their own controls on it).
-func minePrepared(pre *prep.Prepared, minsup, threshold int, g *guard.Guard, ctl *mining.Control, rep result.Reporter) error {
+// preprocessed database. threshold is the cover size at or below which
+// the search switches to row enumeration: 0 selects the default (32), a
+// value ≥ the transaction count makes the miner a single Carpenter run,
+// and a negative value disables switching (pure column enumeration).
+func minePrepared(pre *prep.Prepared, minsup, threshold int, ctl *mining.Control, rep result.Reporter) error {
 	if threshold == 0 {
 		threshold = defaultRowThreshold
 	}
@@ -83,7 +51,6 @@ func minePrepared(pre *prep.Prepared, minsup, threshold int, g *guard.Guard, ctl
 		pre:       pre,
 		rep:       rep,
 		ctl:       ctl,
-		guard:     g,
 		reported:  make(map[string]bool),
 	}
 
@@ -121,7 +88,6 @@ type miner struct {
 	pre       *prep.Prepared
 	rep       result.Reporter
 	ctl       *mining.Control
-	guard     *guard.Guard
 	cfi       result.CFITree
 	reported  map[string]bool
 
@@ -216,11 +182,12 @@ func (m *miner) mine(depth int, prefix itemset.Set, exts []ext) error {
 	return nil
 }
 
-// rowEnumerate runs Carpenter on the sub-database given by tids. The
-// intersections of subsets of these transactions are closed in the full
-// database and their support within the block equals their global support
-// (every transaction containing such a set lies in the block), so results
-// can be reported directly after deduplication.
+// rowEnumerate runs Carpenter on the sub-database given by tids, under
+// this run's control: the block shares its cancellation, budgets and
+// counters. The intersections of subsets of these transactions are closed
+// in the full database and their support within the block equals their
+// global support (every transaction containing such a set lies in the
+// block), so results can be reported directly after deduplication.
 func (m *miner) rowEnumerate(tids []int32) error {
 	if m.db.TidsWeight(tids) < m.minsup {
 		return nil
@@ -232,17 +199,10 @@ func (m *miner) rowEnumerate(tids []int32) error {
 	for _, t := range tids {
 		b.AddWeighted(m.db.Tx(int(t)), m.db.Weight(int(t)))
 	}
-	return carpenter.Mine(b.Build(), carpenter.Options{
-		MinSupport: m.minsup,
-		Variant:    carpenter.Table,
-		Done:       doneOf(m.ctl),
-		Guard:      m.guard,
-	}, result.ReporterFunc(func(items itemset.Set, supp int) {
-		// Carpenter reports in sub's codes, which are this miner's
-		// prepared codes (Prepare inside carpenter keeps a bijection that
-		// its own decode undoes).
-		m.emit(items, supp)
-	}))
+	// Carpenter's own preprocessing (§3.4) on the block; its decode maps
+	// back to the block's codes, which are this miner's prepared codes.
+	block := prep.Prepare(b.Build(), m.minsup, prep.Config{Items: prep.OrderAscFreq, Trans: prep.OrderSizeAsc})
+	return carpenter.MineBlock(block, m.minsup, m.ctl, result.ReporterFunc(m.emit))
 }
 
 // emit reports a closed set once, in original item codes, and records it
@@ -260,16 +220,4 @@ func (m *miner) emit(items itemset.Set, supp int) {
 		return
 	}
 	m.rep.Report(m.pre.DecodeSet(items), supp)
-}
-
-// doneOf adapts the control back to a done channel for the nested
-// Carpenter run: if this miner was canceled, the nested run starts
-// canceled as well.
-func doneOf(ctl *mining.Control) <-chan struct{} {
-	if ctl.Canceled() {
-		ch := make(chan struct{})
-		close(ch)
-		return ch
-	}
-	return nil
 }

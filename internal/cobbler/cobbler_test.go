@@ -4,13 +4,27 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
+	_ "repro/internal/core" // registers "ista", the cross-check reference
+	"repro/internal/engine"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/naive"
+	"repro/internal/prep"
 	"repro/internal/result"
 	"repro/internal/txdb"
 )
+
+// mine runs Cobbler the way every caller does: through the engine.
+func mine(db txdb.Source, minsup int, done <-chan struct{}, rep result.Reporter) error {
+	return engine.Run(db, "cobbler", engine.Spec{MinSupport: minsup, Done: done}, rep)
+}
+
+// mineWith runs minePrepared directly with a row-switch threshold, the
+// knob the engine does not expose.
+func mineWith(db txdb.Source, minsup, threshold int, rep result.Reporter) error {
+	pre := prep.Prepare(db, minsup, prep.Config{Items: prep.OrderAscFreq, Trans: prep.OrderOriginal})
+	return minePrepared(pre, minsup, threshold, mining.NewControl(nil), rep)
+}
 
 func randDB(rng *rand.Rand, items, n int, density float64) *txdb.DB {
 	b := txdb.NewBuilder(n, 0)
@@ -43,7 +57,7 @@ func TestMatchesOracleAcrossThresholds(t *testing.T) {
 			}
 			for _, threshold := range []int{-1, 2, 5, n, 100} {
 				var got result.Set
-				err := Mine(db, Options{MinSupport: minsup, RowThreshold: threshold}, got.Collect())
+				err := mineWith(db, minsup, threshold, got.Collect())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -62,11 +76,11 @@ func TestMatchesIsTaLarger(t *testing.T) {
 		db := randDB(rng, 30+rng.Intn(30), 50+rng.Intn(60), 0.1+rng.Float64()*0.2)
 		minsup := 2 + rng.Intn(5)
 		var want result.Set
-		if err := core.Mine(db, core.Options{MinSupport: minsup}, want.Collect()); err != nil {
+		if err := engine.Run(db, "ista", engine.Spec{MinSupport: minsup}, want.Collect()); err != nil {
 			t.Fatal(err)
 		}
 		var got result.Set
-		if err := Mine(db, Options{MinSupport: minsup}, got.Collect()); err != nil {
+		if err := mine(db, minsup, nil, got.Collect()); err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(&want) {
@@ -81,7 +95,7 @@ func TestNoDuplicateReports(t *testing.T) {
 		db := randDB(rng, 3+rng.Intn(8), 4+rng.Intn(10), 0.3+rng.Float64()*0.4)
 		seen := map[string]bool{}
 		dup := false
-		err := Mine(db, Options{MinSupport: 1, RowThreshold: 4},
+		err := mineWith(db, 1, 4,
 			result.ReporterFunc(func(s itemset.Set, _ int) {
 				if seen[s.Key()] {
 					dup = true
@@ -101,7 +115,7 @@ func TestEdgeCasesAndCancel(t *testing.T) {
 	var got result.Set
 	empty := txdb.NewBuilder(0, 0)
 	empty.SetNumItems(3)
-	if err := Mine(empty.Build(), Options{MinSupport: 1}, got.Collect()); err != nil {
+	if err := mine(empty.Build(), 1, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 0 {
@@ -110,21 +124,42 @@ func TestEdgeCasesAndCancel(t *testing.T) {
 
 	bad := txdb.NewBuilder(0, 0)
 	bad.AddWeighted(itemset.Set{3, 1}, 1) // not canonical
-	if err := Mine(bad.Build(), Options{MinSupport: 1}, &result.Counter{}); err == nil {
+	if err := mine(bad.Build(), 1, nil, &result.Counter{}); err == nil {
 		t.Fatal("expected validation error")
 	}
 	wide := txdb.NewBuilder(0, 0)
 	wide.AddInts(3)
-	if err := Mine(narrowed{wide.Build()}, Options{MinSupport: 1}, &result.Counter{}); err == nil {
+	if err := mine(narrowed{wide.Build()}, 1, nil, &result.Counter{}); err == nil {
 		t.Fatal("expected validation error for an item outside the universe")
 	}
 
 	done := make(chan struct{})
 	close(done)
 	db := randDB(rand.New(rand.NewSource(17)), 50, 150, 0.4)
-	err := Mine(db, Options{MinSupport: 2, Done: done}, &result.Counter{})
+	err := mine(db, 2, done, &result.Counter{})
 	if err != mining.ErrCanceled {
 		t.Fatalf("err = %v, want ErrCanceled", err)
+	}
+}
+
+// TestNestedRunCancels: the nested Carpenter run of a row switch runs
+// under the Cobbler run's own control, so closing Done while it reports
+// stops the run with ErrCanceled instead of letting the block finish.
+// The whole 20-row database is below the row threshold, so all of the
+// run is one nested Carpenter run.
+func TestNestedRunCancels(t *testing.T) {
+	defer mining.SetCheckInterval(1)()
+	db := randDB(rand.New(rand.NewSource(704)), 30, 20, 0.5)
+	done := make(chan struct{})
+	reported := 0
+	err := mine(db, 1, done, result.ReporterFunc(func(itemset.Set, int) {
+		if reported == 0 {
+			close(done)
+		}
+		reported++
+	}))
+	if err != mining.ErrCanceled {
+		t.Fatalf("err = %v after %d patterns, want ErrCanceled", err, reported)
 	}
 }
 

@@ -14,7 +14,7 @@ func init() {
 		Prep:    prep.Config{Items: prep.OrderAscFreq, Trans: prep.OrderOriginal},
 		Order:   20,
 		Mine: func(pre *prep.Prepared, spec *engine.Spec, rep result.Reporter) error {
-			return minePrepared(pre, spec.MinSupport, 0, spec.Guard, spec.Control(), rep)
+			return minePrepared(pre, spec.MinSupport, 0, spec.Control(), rep)
 		},
 	})
 }

@@ -1,61 +1,21 @@
 package core
 
 import (
-	"repro/internal/guard"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/prep"
 	"repro/internal/result"
-	"repro/internal/txdb"
 )
 
-// Options configures the IsTa miner. The zero value requests the paper's
-// recommended configuration: items coded by ascending frequency,
-// transactions processed by increasing size, pruning enabled.
-type Options struct {
-	// MinSupport is the absolute minimum support; values < 1 act as 1.
-	MinSupport int
-	// ItemOrder selects the item coding (§3.4; default ascending
-	// frequency — the rarest item gets code 0).
-	ItemOrder prep.ItemOrder
-	// TransOrder selects the transaction processing order (§3.4; default
-	// increasing size).
-	TransOrder prep.TransOrder
-	// DisablePruning turns off the item-elimination tree pruning of §3.2.
-	// Pruning never changes the result, only time and memory.
-	DisablePruning bool
-	// Done optionally cancels the run; Mine then returns
-	// mining.ErrCanceled.
-	Done <-chan struct{}
-	// Guard optionally bounds the run (deadline, pattern and tree-node
-	// budgets); Mine then returns the guard's typed error once a bound
-	// trips. May be nil.
-	Guard *guard.Guard
-}
-
-// IsTaAllocBudget is the checked-in budget, in bytes, for one Mine run
-// over gendata.Yeast(0.1, 1) at minsup 14 (TestMineAllocs and its CI step
-// enforce it): prep, two recycled node arenas and the report fit below it.
+// IsTaAllocBudget is the checked-in budget, in bytes, for one engine run
+// of "ista" over gendata.Yeast(0.1, 1) at minsup 14 (TestMineAllocs and
+// its CI step enforce it): prep, two recycled node arenas and the report
+// fit below it.
 const IsTaAllocBudget = 3 << 20
 
-// Mine runs IsTa on db and reports every closed item set with support at
-// least opts.MinSupport, in the database's original item codes. It is the
-// entry point for the paper's primary algorithm; engine-driven runs enter
-// through the registration in register.go instead.
-func Mine(db txdb.Source, opts Options, rep result.Reporter) error {
-	if err := txdb.Validate(db); err != nil {
-		return err
-	}
-	minsup := opts.MinSupport
-	if minsup < 1 {
-		minsup = 1
-	}
-	ctl := mining.Guarded(opts.Done, opts.Guard)
-	pre := prep.Prepare(db, minsup, prep.Config{Items: opts.ItemOrder, Trans: opts.TransOrder})
-	return minePrepared(pre, minsup, opts.DisablePruning, ctl, rep)
-}
-
 // minePrepared is the IsTa core on an already preprocessed database.
+// disablePruning turns off the item-elimination tree pruning of §3.2,
+// which never changes the result, only time and memory.
 func minePrepared(pre *prep.Prepared, minsup int, disablePruning bool, ctl *mining.Control, rep result.Reporter) error {
 	pdb := pre.DB
 	if pdb.NumItems() == 0 {

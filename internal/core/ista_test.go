@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/naive"
@@ -12,6 +13,20 @@ import (
 	"repro/internal/result"
 	"repro/internal/txdb"
 )
+
+// istaPrep is the preprocessing the "ista" registration declares.
+var istaPrep = prep.Config{Items: prep.OrderAscFreq, Trans: prep.OrderSizeAsc}
+
+// mine runs IsTa the way every caller does: through the engine.
+func mine(db txdb.Source, minsup int, done <-chan struct{}, rep result.Reporter) error {
+	return engine.Run(db, "ista", engine.Spec{MinSupport: minsup, Done: done}, rep)
+}
+
+// mineWith runs minePrepared directly with the knobs the engine does not
+// expose: the §3.4 orders and the pruning switch.
+func mineWith(db txdb.Source, minsup int, cfg prep.Config, disablePruning bool, done <-chan struct{}, rep result.Reporter) error {
+	return minePrepared(prep.Prepare(db, minsup, cfg), minsup, disablePruning, mining.NewControl(done), rep)
+}
 
 func randDB(rng *rand.Rand, items, n int, density float64) *txdb.DB {
 	b := txdb.NewBuilder(n, 0)
@@ -45,7 +60,7 @@ func TestMineMatchesOracle(t *testing.T) {
 			}
 			for _, disablePrune := range []bool{false, true} {
 				var got result.Set
-				err := Mine(db, Options{MinSupport: minsup, DisablePruning: disablePrune}, got.Collect())
+				err := mineWith(db, minsup, istaPrep, disablePrune, nil, got.Collect())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -69,13 +84,13 @@ func TestMineOrderInvariance(t *testing.T) {
 		db := randDB(rng, 2+rng.Intn(9), 2+rng.Intn(12), 0.2+rng.Float64()*0.5)
 		minsup := 1 + rng.Intn(3)
 		var ref result.Set
-		if err := Mine(db, Options{MinSupport: minsup}, ref.Collect()); err != nil {
+		if err := mine(db, minsup, nil, ref.Collect()); err != nil {
 			t.Fatal(err)
 		}
 		for _, io := range itemOrders {
 			for _, to := range transOrders {
 				var got result.Set
-				err := Mine(db, Options{MinSupport: minsup, ItemOrder: io, TransOrder: to}, got.Collect())
+				err := mineWith(db, minsup, prep.Config{Items: io, Trans: to}, false, nil, got.Collect())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,7 +108,7 @@ func TestMineEdgeCases(t *testing.T) {
 	var got result.Set
 	empty := txdb.NewBuilder(0, 0)
 	empty.SetNumItems(4)
-	if err := Mine(empty.Build(), Options{MinSupport: 1}, got.Collect()); err != nil {
+	if err := mine(empty.Build(), 1, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 0 {
@@ -103,7 +118,7 @@ func TestMineEdgeCases(t *testing.T) {
 	// Single transaction.
 	got = result.Set{}
 	db := txdb.FromInts([]int{1, 3, 5})
-	if err := Mine(db, Options{MinSupport: 1}, got.Collect()); err != nil {
+	if err := mine(db, 1, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	var want result.Set
@@ -114,7 +129,7 @@ func TestMineEdgeCases(t *testing.T) {
 
 	// MinSupport above the transaction count.
 	got = result.Set{}
-	if err := Mine(db, Options{MinSupport: 2}, got.Collect()); err != nil {
+	if err := mine(db, 2, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 0 {
@@ -124,7 +139,7 @@ func TestMineEdgeCases(t *testing.T) {
 	// Identical item in every transaction.
 	got = result.Set{}
 	db = txdb.FromInts([]int{0, 1}, []int{0, 2}, []int{0})
-	if err := Mine(db, Options{MinSupport: 3}, got.Collect()); err != nil {
+	if err := mine(db, 3, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	want = result.Set{}
@@ -136,12 +151,12 @@ func TestMineEdgeCases(t *testing.T) {
 	// Invalid database is rejected.
 	bad := txdb.NewBuilder(0, 0)
 	bad.AddWeighted(itemset.Set{3, 1}, 1) // not canonical
-	if err := Mine(bad.Build(), Options{MinSupport: 1}, &result.Counter{}); err == nil {
+	if err := mine(bad.Build(), 1, nil, &result.Counter{}); err == nil {
 		t.Fatal("expected validation error")
 	}
 	wide := txdb.NewBuilder(0, 0)
 	wide.AddInts(3)
-	if err := Mine(narrowed{wide.Build()}, Options{MinSupport: 1}, &result.Counter{}); err == nil {
+	if err := mine(narrowed{wide.Build()}, 1, nil, &result.Counter{}); err == nil {
 		t.Fatal("expected validation error for an item outside the universe")
 	}
 }
@@ -154,7 +169,7 @@ func TestMineReportsOriginalCodes(t *testing.T) {
 		[]int{10},
 	)
 	var got result.Set
-	if err := Mine(db, Options{MinSupport: 2}, got.Collect()); err != nil {
+	if err := mine(db, 2, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	var want result.Set
@@ -169,7 +184,7 @@ func TestMineCancel(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
 	db := randDB(rand.New(rand.NewSource(3)), 40, 600, 0.4)
-	err := Mine(db, Options{MinSupport: 2, Done: done}, &result.Counter{})
+	err := mine(db, 2, done, &result.Counter{})
 	if err != mining.ErrCanceled {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -183,10 +198,10 @@ func TestPruneEquivalenceLarger(t *testing.T) {
 	db := randDB(rng, 60, 120, 0.25)
 	for _, minsup := range []int{2, 5, 12, 30} {
 		var with, without result.Set
-		if err := Mine(db, Options{MinSupport: minsup}, with.Collect()); err != nil {
+		if err := mine(db, minsup, nil, with.Collect()); err != nil {
 			t.Fatal(err)
 		}
-		if err := Mine(db, Options{MinSupport: minsup, DisablePruning: true}, without.Collect()); err != nil {
+		if err := mineWith(db, minsup, istaPrep, true, nil, without.Collect()); err != nil {
 			t.Fatal(err)
 		}
 		if !with.Equal(&without) {
@@ -245,7 +260,7 @@ func TestCancelLatencyMidTransaction(t *testing.T) {
 	done := make(chan struct{})
 	start := time.Now()
 	time.AfterFunc(150*time.Millisecond, func() { close(done) })
-	err := Mine(db, Options{MinSupport: 2, DisablePruning: true, Done: done}, &result.Counter{})
+	err := mineWith(db, 2, istaPrep, true, done, &result.Counter{})
 	elapsed := time.Since(start)
 	if err != mining.ErrCanceled {
 		t.Fatalf("err = %v, want ErrCanceled", err)

@@ -360,14 +360,14 @@ func TestMineAllocs(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		if err := Mine(db, Options{MinSupport: minsup}, &result.Counter{}); err != nil {
+		if err := mine(db, minsup, nil, &result.Counter{}); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
 		best = min(best, after.TotalAlloc-before.TotalAlloc)
 	}
-	t.Logf("Mine: %d bytes on Yeast(0.1) at minsup %d (budget %d)", best, minsup, IsTaAllocBudget)
+	t.Logf("ista: %d bytes on Yeast(0.1) at minsup %d (budget %d)", best, minsup, IsTaAllocBudget)
 	if best > IsTaAllocBudget {
-		t.Fatalf("Mine allocated %d bytes, budget %d", best, IsTaAllocBudget)
+		t.Fatalf("ista allocated %d bytes, budget %d", best, IsTaAllocBudget)
 	}
 }

@@ -18,3 +18,11 @@ func init() {
 		},
 	})
 }
+
+// MineNoPrune is the §3.2 pruning ablation: IsTa with the item-elimination
+// tree pruning turned off. It runs as a copy of the "ista" registration
+// with Mine replaced, so it shares that registration's prep and run
+// machinery.
+func MineNoPrune(pre *prep.Prepared, spec *engine.Spec, rep result.Reporter) error {
+	return minePrepared(pre, spec.MinSupport, true, spec.Control(), rep)
+}

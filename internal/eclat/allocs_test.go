@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/itemset"
 	"repro/internal/prep"
 	"repro/internal/tidset"
@@ -38,7 +39,7 @@ func TestEclatLevelAllocs(t *testing.T) {
 	pre := prep.Prepare(b.Build(), 1, prep.Config{Items: prep.OrderAscFreq, Trans: prep.OrderOriginal})
 	pdb := pre.DB
 
-	m := &eclatMiner{minsup: rows / 4, target: Closed, pre: pre, db: pdb}
+	m := &eclatMiner{minsup: rows / 4, target: engine.Closed, pre: pre, db: pdb}
 	m.ker = tidset.NewKernel(pdb.KernelUniverse())
 	sets := pdb.KernelSets()
 	root := make([]ext, 0, len(sets))

@@ -16,7 +16,6 @@ package eclat
 
 import (
 	"repro/internal/engine"
-	"repro/internal/guard"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/prep"
@@ -24,34 +23,6 @@ import (
 	"repro/internal/tidset"
 	"repro/internal/txdb"
 )
-
-// Target selects what Mine reports.
-//
-// Deprecated: Target and its constants are aliases for the shared
-// engine.Target; the zero value is Closed (it used to be All).
-type Target = engine.Target
-
-const (
-	// All reports every frequent item set.
-	All = engine.All
-	// Closed reports the closed frequent item sets.
-	Closed = engine.Closed
-	// Maximal reports the maximal frequent item sets.
-	Maximal = engine.Maximal
-)
-
-// Options configures the miner.
-type Options struct {
-	// MinSupport is the absolute minimum support; values < 1 act as 1.
-	MinSupport int
-	// Target selects closed (default), all, or maximal sets.
-	Target Target
-	// Done optionally cancels the run.
-	Done <-chan struct{}
-	// Guard optionally bounds the run (deadline and pattern budget). May
-	// be nil.
-	Guard *guard.Guard
-}
 
 // ext is one extension candidate at a search node: an item and the tid
 // set of prefix ∪ {item}. The Set value must stay at a stable address
@@ -63,22 +34,8 @@ type ext struct {
 	set  tidset.Set
 }
 
-// Mine runs Eclat on db, reporting patterns in original item codes.
-func Mine(db txdb.Source, opts Options, rep result.Reporter) error {
-	if err := txdb.Validate(db); err != nil {
-		return err
-	}
-	minsup := opts.MinSupport
-	if minsup < 1 {
-		minsup = 1
-	}
-	pre := prep.Prepare(db, minsup, prep.Config{Items: prep.OrderAscFreq, Trans: prep.OrderOriginal})
-	ctl := mining.Guarded(opts.Done, opts.Guard)
-	return minePrepared(pre, minsup, opts.Target, ctl, rep)
-}
-
 // minePrepared is the Eclat search on an already preprocessed database.
-func minePrepared(pre *prep.Prepared, minsup int, target Target, ctl *mining.Control, rep result.Reporter) error {
+func minePrepared(pre *prep.Prepared, minsup int, target engine.Target, ctl *mining.Control, rep result.Reporter) error {
 	pdb := pre.DB
 	if pdb.NumItems() == 0 {
 		return nil
@@ -92,11 +49,11 @@ func minePrepared(pre *prep.Prepared, minsup int, target Target, ctl *mining.Con
 		rep:    rep,
 		ctl:    ctl,
 	}
-	if target == Maximal {
+	if target == engine.Maximal {
 		// Mine closed sets into a buffer and post-filter: the maximal
 		// frequent sets are the closed sets without closed proper
 		// supersets.
-		m.target = Closed
+		m.target = engine.Closed
 		var buf result.Set
 		m.rep = buf.Collect()
 		if err := m.run(pdb); err != nil {
@@ -113,7 +70,7 @@ func minePrepared(pre *prep.Prepared, minsup int, target Target, ctl *mining.Con
 
 type eclatMiner struct {
 	minsup int
-	target Target
+	target engine.Target
 	pre    *prep.Prepared
 	db     *txdb.DB
 	rep    result.Reporter
@@ -161,7 +118,7 @@ func (m *eclatMiner) extend(depth int, e *ext, rest []ext) ([]ext, itemset.Set) 
 		if !ok {
 			continue
 		}
-		if m.target == Closed && shared.Card() == e.set.Card() {
+		if m.target == engine.Closed && shared.Card() == e.set.Card() {
 			perfect = append(perfect, f.item)
 			continue
 		}
@@ -187,14 +144,14 @@ func (m *eclatMiner) mine(depth int, prefix itemset.Set, exts []ext) error {
 		m.ctl.CountKernel(st.Isects, st.EarlyStops, st.Switches)
 
 		switch m.target {
-		case All:
+		case engine.All:
 			m.emit(append(prefix, e.item), supp)
 			if len(next) > 0 {
 				if err := m.mine(depth+1, append(prefix, e.item), next); err != nil {
 					return err
 				}
 			}
-		case Closed:
+		case engine.Closed:
 			cand := make(itemset.Set, 0, len(prefix)+1+len(perfect))
 			cand = append(cand, prefix...)
 			cand = append(cand, e.item)

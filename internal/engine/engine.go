@@ -52,10 +52,11 @@ func (t Target) String() string {
 	return fmt.Sprintf("target(%d)", int(t))
 }
 
-// Spec is the unified run specification every miner receives; it replaces
-// the per-package Options clones. Algorithm-specific ablation switches
-// (pruning, item elimination, …) are deliberately absent: they stay on
-// the packages' own entry points for the bench harness.
+// Spec is the one run specification every miner receives. It carries no
+// algorithm-specific ablation switches (pruning, item elimination, …): an
+// ablation is a copy of its base Registration with Mine (or Prep)
+// replaced, run through Registration.Run like every other miner, so it
+// gets the same prep, guard, cancellation and Stats.
 type Spec struct {
 	// MinSupport is the absolute minimum support; Run clamps values
 	// below 1 to 1 before any miner sees them.
@@ -110,17 +111,25 @@ var ErrUnknownAlgorithm = errors.New("engine: unknown algorithm")
 // does not declare the requested Target.
 var ErrUnsupportedTarget = errors.New("engine: unsupported target")
 
-// Run validates db, looks up the named miner, applies its declared
-// preprocessing, and streams the mined patterns (in original item codes)
-// into rep. Cancellation, guard budgets, and panic semantics are those of
-// the miner itself; Run adds nothing and swallows nothing, so the typed
-// guard errors and the valid-prefix contract (DESIGN.md §5b) pass through
-// unchanged.
+// Run looks up the named miner and runs it (Registration.Run).
 func Run(db txdb.Source, name string, spec Spec, rep result.Reporter) error {
 	reg, ok := Lookup(name)
 	if !ok {
 		return fmt.Errorf("%w %q (available: %s)", ErrUnknownAlgorithm, name, strings.Join(Names(), ", "))
 	}
+	return reg.Run(db, spec, rep)
+}
+
+// Run validates db, applies the registration's declared preprocessing,
+// and streams the mined patterns (in original item codes) into rep. It is
+// the one way any miner runs: registered miners, the bench ablations
+// (registration copies with Mine or Prep replaced) and the parallel
+// engines' one-worker fallbacks all go through it or through a
+// registration's Mine under the Spec it built. Cancellation, guard
+// budgets, and panic semantics are those of the miner itself; Run adds
+// nothing and swallows nothing, so the typed guard errors and the
+// valid-prefix contract (DESIGN.md §5b) pass through unchanged.
+func (reg *Registration) Run(db txdb.Source, spec Spec, rep result.Reporter) error {
 	if !reg.SupportsTarget(spec.Target) {
 		return fmt.Errorf("%w: %s does not mine %s sets", ErrUnsupportedTarget, reg.Name, spec.Target)
 	}

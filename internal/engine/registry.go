@@ -20,7 +20,12 @@ type MineFunc func(pre *prep.Prepared, spec *Spec, rep result.Reporter) error
 // packages register themselves from init, so linking a package (usually
 // through a blank import in the root fim package) is all it takes to make
 // its algorithm available everywhere — public API, command line, bench
-// harness, conformance suite.
+// harness, conformance suite. Algorithm packages export no entry point
+// that runs a miner on its own: an ablation (IsTa without pruning,
+// Carpenter without item elimination, another §3.4 order) is an
+// unregistered copy of the base registration with Mine or Prep replaced,
+// run through Registration.Run. A copy keeps the base's parallel engine,
+// so ablation copies run sequentially (Spec.Workers 0 or 1).
 type Registration struct {
 	// Name is the unique lookup key ("ista", "carpenter-table", …).
 	Name string

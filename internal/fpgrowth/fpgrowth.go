@@ -16,39 +16,11 @@ package fpgrowth
 
 import (
 	"repro/internal/engine"
-	"repro/internal/guard"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/prep"
 	"repro/internal/result"
-	"repro/internal/txdb"
 )
-
-// Target selects what Mine reports.
-//
-// Deprecated: Target and its constants are aliases for the shared
-// engine.Target.
-type Target = engine.Target
-
-const (
-	// Closed reports closed frequent item sets (FP-close).
-	Closed = engine.Closed
-	// All reports every frequent item set (plain FP-growth).
-	All = engine.All
-)
-
-// Options configures the miner.
-type Options struct {
-	// MinSupport is the absolute minimum support; values < 1 act as 1.
-	MinSupport int
-	// Target selects closed-only (default) or all frequent item sets.
-	Target Target
-	// Done optionally cancels the run.
-	Done <-chan struct{}
-	// Guard optionally bounds the run (deadline and pattern budget). May
-	// be nil.
-	Guard *guard.Guard
-}
 
 // fpNode is one FP-tree node.
 type fpNode struct {
@@ -92,26 +64,9 @@ func (t *fpTree) insert(path []int32, count int32) {
 	}
 }
 
-// Mine runs FP-growth / FP-close on db and reports patterns in original
-// item codes.
-func Mine(db txdb.Source, opts Options, rep result.Reporter) error {
-	if err := txdb.Validate(db); err != nil {
-		return err
-	}
-	minsup := opts.MinSupport
-	if minsup < 1 {
-		minsup = 1
-	}
-	// Descending frequency coding puts frequent items near the root,
-	// which is what keeps the FP-tree compact.
-	pre := prep.Prepare(db, minsup, prep.Config{Items: prep.OrderDescFreq, Trans: prep.OrderOriginal})
-	ctl := mining.Guarded(opts.Done, opts.Guard)
-	return minePrepared(pre, minsup, opts.Target, ctl, rep)
-}
-
 // minePrepared is FP-growth / FP-close on an already preprocessed
 // database.
-func minePrepared(pre *prep.Prepared, minsup int, target Target, ctl *mining.Control, rep result.Reporter) error {
+func minePrepared(pre *prep.Prepared, minsup int, target engine.Target, ctl *mining.Control, rep result.Reporter) error {
 	pdb := pre.DB
 	if pdb.NumItems() == 0 {
 		return nil
@@ -137,7 +92,7 @@ func minePrepared(pre *prep.Prepared, minsup int, target Target, ctl *mining.Con
 
 type fpMiner struct {
 	minsup int32
-	target Target
+	target engine.Target
 	pre    *prep.Prepared
 	rep    result.Reporter
 	ctl    *mining.Control
@@ -167,7 +122,7 @@ func (m *fpMiner) mine(tree *fpTree, prefix itemset.Set) error {
 		}
 
 		switch m.target {
-		case All:
+		case engine.All:
 			m.emit(append(prefix, itemset.Item(i)), int(supp))
 			cond := m.buildConditional(tree, i, condCounts, nil)
 			if cond != nil {
@@ -176,7 +131,7 @@ func (m *fpMiner) mine(tree *fpTree, prefix itemset.Set) error {
 				}
 			}
 
-		case Closed:
+		case engine.Closed:
 			// Perfect extensions: conditional items occurring in every
 			// transaction that contains prefix∪{i}.
 			var perfect []int32

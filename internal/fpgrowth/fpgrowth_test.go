@@ -4,12 +4,18 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
+	_ "repro/internal/core" // registers "ista", the cross-check reference
+	"repro/internal/engine"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/result"
 	"repro/internal/txdb"
 )
+
+// mine runs FP-growth the way every caller does: through the engine.
+func mine(db txdb.Source, minsup int, target engine.Target, done <-chan struct{}, rep result.Reporter) error {
+	return engine.Run(db, "fpclose", engine.Spec{MinSupport: minsup, Target: target, Done: done}, rep)
+}
 
 func randDB(rng *rand.Rand, items, n int, density float64) *txdb.DB {
 	b := txdb.NewBuilder(n, 0)
@@ -53,7 +59,7 @@ func TestAllMatchesBruteForce(t *testing.T) {
 		for _, minsup := range []int{1, 2} {
 			want := bruteAllFrequent(db, minsup)
 			var got result.Set
-			if err := Mine(db, Options{MinSupport: minsup, Target: All}, got.Collect()); err != nil {
+			if err := mine(db, minsup, engine.All, nil, got.Collect()); err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(want) {
@@ -69,11 +75,11 @@ func TestClosedMatchesIsTaLarger(t *testing.T) {
 		db := randDB(rng, 30+rng.Intn(30), 60+rng.Intn(80), 0.1+rng.Float64()*0.2)
 		minsup := 2 + rng.Intn(6)
 		var want result.Set
-		if err := core.Mine(db, core.Options{MinSupport: minsup}, want.Collect()); err != nil {
+		if err := engine.Run(db, "ista", engine.Spec{MinSupport: minsup}, want.Collect()); err != nil {
 			t.Fatal(err)
 		}
 		var got result.Set
-		if err := Mine(db, Options{MinSupport: minsup}, got.Collect()); err != nil {
+		if err := mine(db, minsup, engine.Closed, nil, got.Collect()); err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(&want) {
@@ -86,7 +92,7 @@ func TestEdgeCases(t *testing.T) {
 	var got result.Set
 	empty := txdb.NewBuilder(0, 0)
 	empty.SetNumItems(3)
-	if err := Mine(empty.Build(), Options{MinSupport: 1}, got.Collect()); err != nil {
+	if err := mine(empty.Build(), 1, engine.Closed, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 0 {
@@ -95,7 +101,7 @@ func TestEdgeCases(t *testing.T) {
 
 	db := txdb.FromInts([]int{0, 1, 2})
 	got = result.Set{}
-	if err := Mine(db, Options{MinSupport: 1}, got.Collect()); err != nil {
+	if err := mine(db, 1, engine.Closed, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	var want result.Set
@@ -106,12 +112,12 @@ func TestEdgeCases(t *testing.T) {
 
 	bad := txdb.NewBuilder(0, 0)
 	bad.AddWeighted(itemset.Set{3, 1}, 1) // not canonical
-	if err := Mine(bad.Build(), Options{MinSupport: 1}, &result.Counter{}); err == nil {
+	if err := mine(bad.Build(), 1, engine.Closed, nil, &result.Counter{}); err == nil {
 		t.Fatal("expected validation error")
 	}
 	wide := txdb.NewBuilder(0, 0)
 	wide.AddInts(3)
-	if err := Mine(narrowed{wide.Build()}, Options{MinSupport: 1}, &result.Counter{}); err == nil {
+	if err := mine(narrowed{wide.Build()}, 1, engine.Closed, nil, &result.Counter{}); err == nil {
 		t.Fatal("expected validation error for an item outside the universe")
 	}
 }
@@ -120,7 +126,7 @@ func TestCancel(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
 	db := randDB(rand.New(rand.NewSource(7)), 50, 200, 0.4)
-	err := Mine(db, Options{MinSupport: 2, Done: done}, &result.Counter{})
+	err := mine(db, 2, engine.Closed, done, &result.Counter{})
 	if err != mining.ErrCanceled {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

@@ -11,8 +11,10 @@ func init() {
 		Name:    "fpclose",
 		Doc:     "FP-growth over a frequent-pattern tree; closed output via a CFI repository (Grahne & Zhu)",
 		Targets: []engine.Target{engine.Closed, engine.All},
-		Prep:    prep.Config{Items: prep.OrderDescFreq, Trans: prep.OrderOriginal},
-		Order:   30,
+		// Descending frequency coding puts frequent items near the root,
+		// which is what keeps the FP-tree compact.
+		Prep:  prep.Config{Items: prep.OrderDescFreq, Trans: prep.OrderOriginal},
+		Order: 30,
 		Mine: func(pre *prep.Prepared, spec *engine.Spec, rep result.Reporter) error {
 			return minePrepared(pre, spec.MinSupport, spec.Target, spec.Control(), rep)
 		},

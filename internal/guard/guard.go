@@ -48,9 +48,9 @@ type Budget struct {
 	// MaxTreeNodes caps the size of a miner's repository: live prefix-tree
 	// nodes for IsTa, stored sets for the Carpenter/Cobbler repositories
 	// and the flat cumulative scheme. In a parallel run the cap applies to
-	// each worker's private repository. Miners without a repository
-	// (FP-close, LCM, Eclat, SaM, Apriori) are not affected. Values <= 0
-	// mean no cap.
+	// each worker's private repository. FP-close and Eclat keep their
+	// CFI-tree outside the budget, and LCM, SaM and Apriori keep no
+	// repository, so none of these is affected. Values <= 0 mean no cap.
 	MaxTreeNodes int
 }
 

@@ -7,39 +7,12 @@
 package lcm
 
 import (
-	"repro/internal/guard"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/prep"
 	"repro/internal/result"
 	"repro/internal/txdb"
 )
-
-// Options configures the miner.
-type Options struct {
-	// MinSupport is the absolute minimum support; values < 1 act as 1.
-	MinSupport int
-	// Done optionally cancels the run.
-	Done <-chan struct{}
-	// Guard optionally bounds the run (deadline and pattern budget). May
-	// be nil.
-	Guard *guard.Guard
-}
-
-// Mine runs the closed-set enumeration on db, reporting patterns in
-// original item codes.
-func Mine(db txdb.Source, opts Options, rep result.Reporter) error {
-	if err := txdb.Validate(db); err != nil {
-		return err
-	}
-	minsup := opts.MinSupport
-	if minsup < 1 {
-		minsup = 1
-	}
-	pre := prep.Prepare(db, minsup, prep.Config{Items: prep.OrderAscFreq, Trans: prep.OrderOriginal})
-	ctl := mining.Guarded(opts.Done, opts.Guard)
-	return minePrepared(pre, minsup, ctl, rep)
-}
 
 // minePrepared is the ppc-extension enumeration on an already
 // preprocessed database.

@@ -4,12 +4,18 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
+	_ "repro/internal/core" // registers "ista", the cross-check reference
+	"repro/internal/engine"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/result"
 	"repro/internal/txdb"
 )
+
+// mine runs LCM the way every caller does: through the engine.
+func mine(db txdb.Source, minsup int, done <-chan struct{}, rep result.Reporter) error {
+	return engine.Run(db, "lcm", engine.Spec{MinSupport: minsup, Done: done}, rep)
+}
 
 func randDB(rng *rand.Rand, items, n int, density float64) *txdb.DB {
 	b := txdb.NewBuilder(n, 0)
@@ -34,7 +40,7 @@ func TestNoDuplicates(t *testing.T) {
 		db := randDB(rng, 3+rng.Intn(8), 3+rng.Intn(12), 0.3+rng.Float64()*0.4)
 		seen := map[string]bool{}
 		dup := false
-		err := Mine(db, Options{MinSupport: 1}, result.ReporterFunc(func(s itemset.Set, _ int) {
+		err := mine(db, 1, nil, result.ReporterFunc(func(s itemset.Set, _ int) {
 			if seen[s.Key()] {
 				dup = true
 			}
@@ -55,11 +61,11 @@ func TestMatchesIsTaLarger(t *testing.T) {
 		db := randDB(rng, 25+rng.Intn(25), 50+rng.Intn(60), 0.1+rng.Float64()*0.2)
 		minsup := 2 + rng.Intn(5)
 		var want result.Set
-		if err := core.Mine(db, core.Options{MinSupport: minsup}, want.Collect()); err != nil {
+		if err := engine.Run(db, "ista", engine.Spec{MinSupport: minsup}, want.Collect()); err != nil {
 			t.Fatal(err)
 		}
 		var got result.Set
-		if err := Mine(db, Options{MinSupport: minsup}, got.Collect()); err != nil {
+		if err := mine(db, minsup, nil, got.Collect()); err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(&want) {
@@ -72,7 +78,7 @@ func TestEdgeCases(t *testing.T) {
 	var got result.Set
 	empty := txdb.NewBuilder(0, 0)
 	empty.SetNumItems(2)
-	if err := Mine(empty.Build(), Options{MinSupport: 1}, got.Collect()); err != nil {
+	if err := mine(empty.Build(), 1, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 0 {
@@ -83,7 +89,7 @@ func TestEdgeCases(t *testing.T) {
 	// transaction).
 	db := txdb.FromInts([]int{0, 1}, []int{0, 2}, []int{0})
 	got = result.Set{}
-	if err := Mine(db, Options{MinSupport: 3}, got.Collect()); err != nil {
+	if err := mine(db, 3, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	var want result.Set
@@ -94,12 +100,12 @@ func TestEdgeCases(t *testing.T) {
 
 	bad := txdb.NewBuilder(0, 0)
 	bad.AddWeighted(itemset.Set{3, 1}, 1) // not canonical
-	if err := Mine(bad.Build(), Options{MinSupport: 1}, &result.Counter{}); err == nil {
+	if err := mine(bad.Build(), 1, nil, &result.Counter{}); err == nil {
 		t.Fatal("expected validation error")
 	}
 	wide := txdb.NewBuilder(0, 0)
 	wide.AddInts(3)
-	if err := Mine(narrowed{wide.Build()}, Options{MinSupport: 1}, &result.Counter{}); err == nil {
+	if err := mine(narrowed{wide.Build()}, 1, nil, &result.Counter{}); err == nil {
 		t.Fatal("expected validation error for an item outside the universe")
 	}
 }
@@ -108,7 +114,7 @@ func TestCancel(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
 	db := randDB(rand.New(rand.NewSource(9)), 50, 200, 0.4)
-	err := Mine(db, Options{MinSupport: 2, Done: done}, &result.Counter{})
+	err := mine(db, 2, done, &result.Counter{})
 	if err != mining.ErrCanceled {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

@@ -81,19 +81,13 @@ type Control struct {
 // started stops on the very first check); later polls are amortized over
 // checkInterval calls.
 func NewControl(done <-chan struct{}) *Control {
-	return Guarded(done, nil)
+	return GuardedCounted(done, nil, nil)
 }
 
-// Guarded returns a Control watching done and enforcing g's budget
-// (deadline and latched resource trips) on the same amortized schedule.
-// Both done and g may be nil.
-func Guarded(done <-chan struct{}, g *guard.Guard) *Control {
-	return GuardedCounted(done, g, nil)
-}
-
-// GuardedCounted is Guarded with an optional shared Counters that the
-// Control feeds on its amortized slow path (engine stats, progress
-// sampling). All arguments may be nil.
+// GuardedCounted returns a Control watching done, enforcing g's budget
+// (deadline and latched resource trips) on the same amortized schedule,
+// and feeding an optional shared Counters on its slow path (engine stats,
+// progress sampling). All arguments may be nil.
 func GuardedCounted(done <-chan struct{}, g *guard.Guard, c *obs.Counters) *Control {
 	ctl := &Control{done: done, guard: g, counters: c, budget: 1}
 	if p := tickHook.Load(); p != nil {

@@ -1,7 +1,7 @@
 // Package naive contains the reference implementations this repository is
 // validated and benchmarked against:
 //
-//   - FlatCumulative: the cumulative intersection scheme of Mielikäinen
+//   - the "flat" miner: the cumulative intersection scheme of Mielikäinen
 //     (FIMI'03) with a flat repository — the baseline the paper reports to
 //     be often >100× slower than IsTa precisely because it lacks the
 //     prefix tree (§5);
@@ -10,26 +10,13 @@
 package naive
 
 import (
-	"repro/internal/guard"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/prep"
 	"repro/internal/result"
-	"repro/internal/txdb"
 )
 
-// FlatOptions configures FlatCumulative.
-type FlatOptions struct {
-	// MinSupport is the absolute minimum support (values < 1 act as 1).
-	MinSupport int
-	// Done optionally cancels the run.
-	Done <-chan struct{}
-	// Guard optionally bounds the run (deadline and pattern budget). May
-	// be nil.
-	Guard *guard.Guard
-}
-
-// FlatCumulative mines closed frequent item sets with the flat cumulative
+// minePrepared mines closed frequent item sets with the flat cumulative
 // intersection scheme: a repository holding every closed item set of the
 // transactions processed so far (as a hash map keyed on the canonical set
 // encoding), updated per transaction t by the recursion of §3.2:
@@ -39,24 +26,6 @@ type FlatOptions struct {
 // Supports are maintained with the same max rule the prefix tree uses.
 // The scheme is exact but quadratic-ish in the repository size per
 // transaction, which is the point of benchmarking against it.
-func FlatCumulative(db txdb.Source, opts FlatOptions, rep result.Reporter) error {
-	if err := txdb.Validate(db); err != nil {
-		return err
-	}
-	minsup := opts.MinSupport
-	if minsup < 1 {
-		minsup = 1
-	}
-	ctl := mining.Guarded(opts.Done, opts.Guard)
-	// Keep the original item codes (compacted): removing infrequent items
-	// changes neither the closed frequent sets nor their supports — any
-	// item in the closure of a frequent set is itself frequent.
-	pre := prep.Prepare(db, minsup, prep.Config{Items: prep.OrderKeep, Trans: prep.OrderOriginal})
-	return minePrepared(pre, minsup, ctl, rep)
-}
-
-// minePrepared is the flat cumulative scheme on an already preprocessed
-// database.
 func minePrepared(pre *prep.Prepared, minsup int, ctl *mining.Control, rep result.Reporter) error {
 	repo := make(map[string]*flatEntry)
 	pdb := pre.DB

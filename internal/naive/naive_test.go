@@ -4,11 +4,18 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/result"
 	"repro/internal/txdb"
 )
+
+// mineFlat runs the flat scheme the way every caller does: through the
+// engine.
+func mineFlat(db txdb.Source, minsup int, done <-chan struct{}, rep result.Reporter) error {
+	return engine.Run(db, "flat", engine.Spec{MinSupport: minsup, Done: done}, rep)
+}
 
 func paperDB() *txdb.DB {
 	return txdb.FromInts(
@@ -116,7 +123,7 @@ func TestFlatCumulativeMatchesOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			var got result.Set
-			if err := FlatCumulative(db, FlatOptions{MinSupport: minsup}, got.Collect()); err != nil {
+			if err := mineFlat(db, minsup, nil, got.Collect()); err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(want) {
@@ -132,7 +139,7 @@ func TestFlatCumulativeEmptyAndDuplicates(t *testing.T) {
 	var got result.Set
 	empty := txdb.NewBuilder(0, 0)
 	empty.SetNumItems(3)
-	if err := FlatCumulative(empty.Build(), FlatOptions{MinSupport: 1}, got.Collect()); err != nil {
+	if err := mineFlat(empty.Build(), 1, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 0 {
@@ -141,7 +148,7 @@ func TestFlatCumulativeEmptyAndDuplicates(t *testing.T) {
 	// Duplicate transactions count individually.
 	db := txdb.FromInts([]int{0, 1}, []int{0, 1}, []int{0, 1})
 	got = result.Set{}
-	if err := FlatCumulative(db, FlatOptions{MinSupport: 3}, got.Collect()); err != nil {
+	if err := mineFlat(db, 3, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	var want result.Set
@@ -158,7 +165,7 @@ func TestFlatCumulativeCancel(t *testing.T) {
 	// repository work before it could finish.
 	db := randDB(rand.New(rand.NewSource(2)), 26, 80, 0.5)
 	var got result.Set
-	err := FlatCumulative(db, FlatOptions{MinSupport: 1, Done: done}, got.Collect())
+	err := mineFlat(db, 1, done, got.Collect())
 	if err != mining.ErrCanceled {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
@@ -167,12 +174,12 @@ func TestFlatCumulativeCancel(t *testing.T) {
 func TestFlatCumulativeInvalidDB(t *testing.T) {
 	bad := txdb.NewBuilder(0, 0)
 	bad.AddWeighted(itemset.Set{5, 1}, 1) // not canonical
-	if err := FlatCumulative(bad.Build(), FlatOptions{MinSupport: 1}, &result.Counter{}); err == nil {
+	if err := mineFlat(bad.Build(), 1, nil, &result.Counter{}); err == nil {
 		t.Fatal("expected validation error")
 	}
 	wide := txdb.NewBuilder(0, 0)
 	wide.AddInts(5)
-	if err := FlatCumulative(narrowed{wide.Build()}, FlatOptions{MinSupport: 1}, &result.Counter{}); err == nil {
+	if err := mineFlat(narrowed{wide.Build()}, 1, nil, &result.Counter{}); err == nil {
 		t.Fatal("expected validation error for an item outside the universe")
 	}
 }

@@ -8,54 +8,23 @@ import (
 	"repro/internal/engine"
 	"repro/internal/guard"
 	"repro/internal/itemset"
-	"repro/internal/mining"
 	"repro/internal/obs"
 	"repro/internal/prep"
 	"repro/internal/result"
-	"repro/internal/txdb"
 )
 
-// MineCarpenterTable runs the table-based Carpenter search with its
-// top-level transaction-set branches fanned out across opts.Workers
-// goroutines. Each worker owns a private repository, so branches that the
-// sequential shared repository would have suppressed are re-explored and
-// re-reported (possibly with the partial support counted from the
-// branch's own starting transaction); the final keep-the-maximum merge
-// per item set reconstructs the sequential pattern set exactly — every
-// branch report is an intersection of transactions and hence closed, and
-// the branch rooted at the first transaction of a set's cover reports its
-// full support. The merged output is emitted in canonical order, which
-// makes it deterministic regardless of scheduling.
-func MineCarpenterTable(db txdb.Source, opts Options, rep result.Reporter) error {
-	if err := txdb.Validate(db); err != nil {
-		return err
-	}
-	minsup := opts.MinSupport
-	if minsup < 1 {
-		minsup = 1
-	}
-	workers := opts.workers()
-	if workers <= 1 {
-		return carpenter.Mine(db, carpenter.Options{
-			MinSupport: minsup,
-			Variant:    carpenter.Table,
-			ItemOrder:  opts.ItemOrder,
-			TransOrder: opts.TransOrder,
-			Done:       opts.Done,
-			Guard:      opts.Guard,
-		}, rep)
-	}
-
-	ctl := mining.Guarded(opts.Done, opts.Guard)
-	pre := prep.Prepare(db, minsup, prep.Config{Items: opts.ItemOrder, Trans: opts.TransOrder})
-	return minePreparedCarpenter(pre, runCfg{
-		minsup: minsup, workers: workers,
-		done: opts.Done, g: opts.Guard, ctl: ctl, policy: opts.Retry,
-	}, rep)
-}
-
 // minePreparedCarpenter is the branch-parallel table Carpenter on an
-// already preprocessed database. cfg.done/cfg.g are needed separately
+// already preprocessed database: the top-level transaction-set branches
+// fan out across cfg.workers goroutines. Each worker owns a private
+// repository, so branches that the sequential shared repository would
+// have suppressed are re-explored and re-reported (possibly with the
+// partial support counted from the branch's own starting transaction);
+// the final keep-the-maximum merge per item set reconstructs the
+// sequential pattern set exactly — every branch report is an intersection
+// of transactions and hence closed, and the branch rooted at the first
+// transaction of a set's cover reports its full support. The merged
+// output is emitted in canonical order, which makes it deterministic
+// regardless of scheduling. cfg.done/cfg.g are needed separately
 // from cfg.ctl because each worker builds a private control on them
 // (sharing ctl's Counters, so worker work shows up in the run's stats
 // and progress); cfg.run, when non-nil, receives the merge-phase span;
@@ -71,7 +40,7 @@ func minePreparedCarpenter(pre *prep.Prepared, cfg runCfg, rep result.Reporter) 
 	}
 	counters := ctl.Counters()
 
-	brancher := carpenter.NewTableBrancher(pre, minsup, false)
+	brancher := carpenter.NewTableBrancher(pre, minsup)
 	branches := brancher.Branches()
 
 	// Round-robin assignment keeps each worker's branches in increasing

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/faultinject"
 	"repro/internal/guard"
 	"repro/internal/mining"
@@ -23,10 +24,10 @@ func TestParallelWorkerPanicDrains(t *testing.T) {
 		mine func() error
 	}{
 		{"ista", func() error {
-			return MineIsTa(db, Options{MinSupport: 2, Workers: 4}, &result.Counter{})
+			return engine.Run(db, "ista", engine.Spec{MinSupport: 2, Workers: 4}, &result.Counter{})
 		}},
 		{"carpenter-table", func() error {
-			return MineCarpenterTable(db, Options{MinSupport: 2, Workers: 4}, &result.Counter{})
+			return engine.Run(db, "carpenter-table", engine.Spec{MinSupport: 2, Workers: 4}, &result.Counter{})
 		}},
 	}
 	for _, e := range engines {
@@ -55,10 +56,10 @@ func TestParallelCancellationDrains(t *testing.T) {
 	db := randDB(rng, 20, 200, 0.3)
 	done := make(chan struct{})
 	close(done)
-	if err := MineIsTa(db, Options{MinSupport: 2, Workers: 8, Done: done}, &result.Counter{}); !errors.Is(err, mining.ErrCanceled) {
+	if err := engine.Run(db, "ista", engine.Spec{MinSupport: 2, Workers: 8, Done: done}, &result.Counter{}); !errors.Is(err, mining.ErrCanceled) {
 		t.Fatalf("ista: err = %v, want ErrCanceled", err)
 	}
-	if err := MineCarpenterTable(db, Options{MinSupport: 2, Workers: 8, Done: done}, &result.Counter{}); !errors.Is(err, mining.ErrCanceled) {
+	if err := engine.Run(db, "carpenter-table", engine.Spec{MinSupport: 2, Workers: 8, Done: done}, &result.Counter{}); !errors.Is(err, mining.ErrCanceled) {
 		t.Fatalf("carpenter: err = %v, want ErrCanceled", err)
 	}
 }
@@ -70,10 +71,10 @@ func TestParallelDeadlineDrains(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	db := randDB(rng, 20, 200, 0.3)
 	g := guard.New(guard.Budget{Deadline: time.Now().Add(-time.Second)})
-	if err := MineIsTa(db, Options{MinSupport: 2, Workers: 8, Guard: g}, &result.Counter{}); !errors.Is(err, guard.ErrDeadline) {
+	if err := engine.Run(db, "ista", engine.Spec{MinSupport: 2, Workers: 8, Guard: g}, &result.Counter{}); !errors.Is(err, guard.ErrDeadline) {
 		t.Fatalf("ista: err = %v, want ErrDeadline", err)
 	}
-	if err := MineCarpenterTable(db, Options{MinSupport: 2, Workers: 8, Guard: g}, &result.Counter{}); !errors.Is(err, guard.ErrDeadline) {
+	if err := engine.Run(db, "carpenter-table", engine.Spec{MinSupport: 2, Workers: 8, Guard: g}, &result.Counter{}); !errors.Is(err, guard.ErrDeadline) {
 		t.Fatalf("carpenter: err = %v, want ErrDeadline", err)
 	}
 }

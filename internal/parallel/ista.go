@@ -17,38 +17,6 @@ import (
 	"repro/internal/txdb"
 )
 
-// MineIsTa runs IsTa sharded across opts.Workers goroutines and reports
-// every closed item set with support at least opts.MinSupport, in the
-// database's original item codes. The reported pattern set is identical to
-// core.Mine's on the same options; the emission order is deterministic but
-// differs from the sequential traversal order.
-func MineIsTa(db txdb.Source, opts Options, rep result.Reporter) error {
-	if err := txdb.Validate(db); err != nil {
-		return err
-	}
-	minsup := opts.MinSupport
-	if minsup < 1 {
-		minsup = 1
-	}
-	workers := opts.workers()
-	if workers <= 1 {
-		return core.Mine(db, core.Options{
-			MinSupport: minsup,
-			ItemOrder:  opts.ItemOrder,
-			TransOrder: opts.TransOrder,
-			Done:       opts.Done,
-			Guard:      opts.Guard,
-		}, rep)
-	}
-
-	ctl := mining.Guarded(opts.Done, opts.Guard)
-	pre := prep.Prepare(db, minsup, prep.Config{Items: opts.ItemOrder, Trans: opts.TransOrder})
-	return minePreparedIsTa(pre, runCfg{
-		minsup: minsup, workers: workers,
-		done: opts.Done, g: opts.Guard, ctl: ctl, policy: opts.Retry,
-	}, rep)
-}
-
 // splitByWork cuts the prepared database into workers contiguous zero-copy
 // range views with roughly equal total item counts (the work a cumulative
 // intersection pass is proportional to). Contiguous views share the
@@ -76,7 +44,9 @@ func splitByWork(db *txdb.DB, workers int) []*txdb.DB {
 }
 
 // minePreparedIsTa is the sharded IsTa engine on an already preprocessed
-// database. cfg.done/cfg.g are needed separately from cfg.ctl because
+// database. The reported pattern set is identical to the sequential
+// "ista" registration's; the emission order is deterministic but differs
+// from the sequential traversal order. cfg.done/cfg.g are needed separately from cfg.ctl because
 // each worker builds a private control on them (sharing ctl's Counters,
 // so worker work shows up in the run's stats and progress); cfg.run,
 // when non-nil, receives the merge-phase span; cfg.policy, when

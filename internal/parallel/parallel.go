@@ -22,39 +22,7 @@
 // keep-the-maximum pass (result.MaxMerger).
 package parallel
 
-import (
-	"runtime"
-
-	"repro/internal/guard"
-	"repro/internal/prep"
-	"repro/internal/retry"
-)
-
-// Options configures the parallel miners.
-type Options struct {
-	// MinSupport is the absolute minimum support; values < 1 act as 1.
-	MinSupport int
-	// Workers is the number of worker goroutines; values < 1 select
-	// runtime.GOMAXPROCS(0). With one worker the sequential miner runs
-	// unchanged.
-	Workers int
-	// ItemOrder / TransOrder select the preprocessing (§3.4), as in the
-	// sequential miners.
-	ItemOrder  prep.ItemOrder
-	TransOrder prep.TransOrder
-	// Done optionally cancels the run across all workers; the miner then
-	// returns mining.ErrCanceled.
-	Done <-chan struct{}
-	// Guard optionally bounds the run: the deadline and pattern budget
-	// apply to the run as a whole, the node budget to each worker's
-	// private tree/repository. May be nil.
-	Guard *guard.Guard
-	// Retry enables the self-healing supervisor: a failed shard or branch
-	// worker is re-mined sequentially up to Retry.MaxAttempts times, then
-	// abandoned into a typed partial result (*engine.PartialError). The
-	// zero value keeps fail-stop behavior.
-	Retry retry.Policy
-}
+import "repro/internal/guard"
 
 // firstError folds a per-worker error slice into the error the engine
 // returns: a contained worker panic (*guard.PanicError) takes precedence
@@ -74,12 +42,4 @@ func firstError(errs []error) error {
 		}
 	}
 	return first
-}
-
-// workers resolves the worker count.
-func (o Options) workers() int {
-	if o.Workers < 1 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return o.Workers
 }

@@ -4,8 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
-	"repro/internal/carpenter"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/gendata"
 	"repro/internal/itemset"
 	"repro/internal/mining"
@@ -31,7 +30,7 @@ func randDB(rng *rand.Rand, items, n int, density float64) *txdb.DB {
 func seqIsTa(t *testing.T, db txdb.Source, minsup int) *result.Set {
 	t.Helper()
 	var out result.Set
-	if err := core.Mine(db, core.Options{MinSupport: minsup}, out.Collect()); err != nil {
+	if err := engine.Run(db, "ista", engine.Spec{MinSupport: minsup}, out.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	return &out
@@ -40,7 +39,7 @@ func seqIsTa(t *testing.T, db txdb.Source, minsup int) *result.Set {
 func parIsTa(t *testing.T, db txdb.Source, minsup, workers int) *result.Set {
 	t.Helper()
 	var out result.Set
-	if err := MineIsTa(db, Options{MinSupport: minsup, Workers: workers}, out.Collect()); err != nil {
+	if err := engine.Run(db, "ista", engine.Spec{MinSupport: minsup, Workers: workers}, out.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	return &out
@@ -109,11 +108,11 @@ func TestCarpenterTableMatchesSequential(t *testing.T) {
 		workers := 2 + rng.Intn(6)
 
 		var want result.Set
-		if err := carpenter.Mine(db, carpenter.Options{MinSupport: minsup, Variant: carpenter.Table}, want.Collect()); err != nil {
+		if err := engine.Run(db, "carpenter-table", engine.Spec{MinSupport: minsup}, want.Collect()); err != nil {
 			t.Fatal(err)
 		}
 		var got result.Set
-		if err := MineCarpenterTable(db, Options{MinSupport: minsup, Workers: workers}, got.Collect()); err != nil {
+		if err := engine.Run(db, "carpenter-table", engine.Spec{MinSupport: minsup, Workers: workers}, got.Collect()); err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(&want) {
@@ -136,12 +135,12 @@ func TestCarpenterTableGendata(t *testing.T) {
 	}
 	for _, c := range cases {
 		var want result.Set
-		if err := carpenter.Mine(c.db, carpenter.Options{MinSupport: c.minsup, Variant: carpenter.Table}, want.Collect()); err != nil {
+		if err := engine.Run(c.db, "carpenter-table", engine.Spec{MinSupport: c.minsup}, want.Collect()); err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
 			var got result.Set
-			if err := MineCarpenterTable(c.db, Options{MinSupport: c.minsup, Workers: workers}, got.Collect()); err != nil {
+			if err := engine.Run(c.db, "carpenter-table", engine.Spec{MinSupport: c.minsup, Workers: workers}, got.Collect()); err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(&want) {
@@ -158,9 +157,9 @@ func TestDeterministicEmissionOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	db := randDB(rng, 14, 60, 0.35)
 	for _, workers := range []int{2, 5} {
-		run := func(mine func(txdb.Source, Options, result.Reporter) error) []result.Pattern {
+		run := func(name string) []result.Pattern {
 			var seq []result.Pattern
-			err := mine(db, Options{MinSupport: 3, Workers: workers}, result.ReporterFunc(
+			err := engine.Run(db, name, engine.Spec{MinSupport: 3, Workers: workers}, result.ReporterFunc(
 				func(items itemset.Set, supp int) {
 					seq = append(seq, result.Pattern{Items: items.Clone(), Support: supp})
 				}))
@@ -169,10 +168,8 @@ func TestDeterministicEmissionOrder(t *testing.T) {
 			}
 			return seq
 		}
-		for name, mine := range map[string]func(txdb.Source, Options, result.Reporter) error{
-			"ista": MineIsTa, "carpenter-table": MineCarpenterTable,
-		} {
-			a, b := run(mine), run(mine)
+		for _, name := range []string{"ista", "carpenter-table"} {
+			a, b := run(name), run(name)
 			if len(a) != len(b) {
 				t.Fatalf("%s: runs emitted %d vs %d patterns", name, len(a), len(b))
 			}
@@ -193,10 +190,10 @@ func TestParallelCancellation(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
 	for _, workers := range []int{1, 2, 8} {
-		if err := MineIsTa(db, Options{MinSupport: 2, Workers: workers, Done: done}, &result.Counter{}); err != mining.ErrCanceled {
+		if err := engine.Run(db, "ista", engine.Spec{MinSupport: 2, Workers: workers, Done: done}, &result.Counter{}); err != mining.ErrCanceled {
 			t.Fatalf("ista %d workers: err = %v, want ErrCanceled", workers, err)
 		}
-		if err := MineCarpenterTable(db, Options{MinSupport: 2, Workers: workers, Done: done}, &result.Counter{}); err != mining.ErrCanceled {
+		if err := engine.Run(db, "carpenter-table", engine.Spec{MinSupport: 2, Workers: workers, Done: done}, &result.Counter{}); err != mining.ErrCanceled {
 			t.Fatalf("carpenter %d workers: err = %v, want ErrCanceled", workers, err)
 		}
 	}
@@ -206,10 +203,10 @@ func TestParallelCancellation(t *testing.T) {
 // transactions, and empty databases must all behave.
 func TestWorkerCountEdgeCases(t *testing.T) {
 	empty := txdb.FromInts()
-	if err := MineIsTa(empty, Options{MinSupport: 1, Workers: 8}, &result.Counter{}); err != nil {
+	if err := engine.Run(empty, "ista", engine.Spec{MinSupport: 1, Workers: 8}, &result.Counter{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := MineCarpenterTable(empty, Options{MinSupport: 1, Workers: 8}, &result.Counter{}); err != nil {
+	if err := engine.Run(empty, "carpenter-table", engine.Spec{MinSupport: 1, Workers: 8}, &result.Counter{}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -236,7 +233,7 @@ func TestResultsVerifySemantics(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	db := randDB(rng, 12, 50, 0.4)
 	var out result.Set
-	if err := MineIsTa(db, Options{MinSupport: 3, Workers: 4}, out.Collect()); err != nil {
+	if err := engine.Run(db, "ista", engine.Spec{MinSupport: 3, Workers: 4}, out.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	if err := result.Verify(db, &out, 3); err != nil {

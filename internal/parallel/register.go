@@ -12,31 +12,24 @@ import (
 // miners. The sequential registrations exist by now because this package
 // imports internal/core and internal/carpenter, whose inits run first.
 func init() {
-	engine.RegisterParallel("ista", func(pre *prep.Prepared, spec *engine.Spec, rep result.Reporter) error {
+	register("ista", minePreparedIsTa)
+	register("carpenter-table", minePreparedCarpenter)
+}
+
+// register attaches mine as the parallel engine of the named miner. The
+// engine resolves the worker count (negative: all cores) and with one
+// worker runs the sequential registration under the same Spec.
+func register(name string, mine func(*prep.Prepared, runCfg, result.Reporter) error) {
+	seq, _ := engine.Lookup(name)
+	engine.RegisterParallel(name, func(pre *prep.Prepared, spec *engine.Spec, rep result.Reporter) error {
 		workers := spec.Workers
 		if workers < 1 {
 			workers = runtime.GOMAXPROCS(0)
 		}
 		if workers <= 1 {
-			reg, _ := engine.Lookup("ista")
-			return reg.Mine(pre, spec, rep)
+			return seq.Mine(pre, spec, rep)
 		}
-		return minePreparedIsTa(pre, runCfg{
-			minsup: spec.MinSupport, workers: workers,
-			done: spec.Done, g: spec.Guard,
-			ctl: spec.Control(), run: spec.Observer(), policy: spec.Retry,
-		}, rep)
-	})
-	engine.RegisterParallel("carpenter-table", func(pre *prep.Prepared, spec *engine.Spec, rep result.Reporter) error {
-		workers := spec.Workers
-		if workers < 1 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers <= 1 {
-			reg, _ := engine.Lookup("carpenter-table")
-			return reg.Mine(pre, spec, rep)
-		}
-		return minePreparedCarpenter(pre, runCfg{
+		return mine(pre, runCfg{
 			minsup: spec.MinSupport, workers: workers,
 			done: spec.Done, g: spec.Guard,
 			ctl: spec.Control(), run: spec.Observer(), policy: spec.Retry,

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/gendata"
 	"repro/internal/mining"
 	"repro/internal/result"
@@ -44,7 +45,7 @@ func TestTickHookInstallDuringParallelMine(t *testing.T) {
 
 	for trial := 0; trial < 20; trial++ {
 		var out result.Set
-		if err := MineIsTa(db, Options{MinSupport: minsup, Workers: 4}, out.Collect()); err != nil {
+		if err := engine.Run(db, "ista", engine.Spec{MinSupport: minsup, Workers: 4}, out.Collect()); err != nil {
 			t.Fatal(err)
 		}
 		if !out.Equal(want) {

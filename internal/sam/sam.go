@@ -17,39 +17,11 @@ import (
 	"sort"
 
 	"repro/internal/engine"
-	"repro/internal/guard"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/prep"
 	"repro/internal/result"
-	"repro/internal/txdb"
 )
-
-// Target selects what Mine reports.
-//
-// Deprecated: Target and its constants are aliases for the shared
-// engine.Target; the zero value is Closed (it used to be All).
-type Target = engine.Target
-
-const (
-	// All reports every frequent item set.
-	All = engine.All
-	// Closed reports the closed frequent item sets.
-	Closed = engine.Closed
-)
-
-// Options configures the miner.
-type Options struct {
-	// MinSupport is the absolute minimum support; values < 1 act as 1.
-	MinSupport int
-	// Target selects closed (default) or all sets.
-	Target Target
-	// Done optionally cancels the run.
-	Done <-chan struct{}
-	// Guard optionally bounds the run (deadline and pattern budget). May
-	// be nil.
-	Guard *guard.Guard
-}
 
 // wtrans is one weighted transaction suffix. The items slice is shared
 // with ancestors (suffixes are made by reslicing), which is what keeps
@@ -59,25 +31,9 @@ type wtrans struct {
 	items itemset.Set
 }
 
-// Mine runs SaM on db and reports patterns in original item codes.
-func Mine(db txdb.Source, opts Options, rep result.Reporter) error {
-	if err := txdb.Validate(db); err != nil {
-		return err
-	}
-	minsup := opts.MinSupport
-	if minsup < 1 {
-		minsup = 1
-	}
-	// Descending frequency coding: SaM wants frequent items early so the
-	// split groups are large and merge lists shrink quickly.
-	pre := prep.Prepare(db, minsup, prep.Config{Items: prep.OrderDescFreq, Trans: prep.OrderOriginal})
-	ctl := mining.Guarded(opts.Done, opts.Guard)
-	return minePrepared(pre, minsup, opts.Target, ctl, rep)
-}
-
 // minePrepared is the split-and-merge search on an already preprocessed
 // database.
-func minePrepared(pre *prep.Prepared, minsup int, target Target, ctl *mining.Control, rep result.Reporter) error {
+func minePrepared(pre *prep.Prepared, minsup int, target engine.Target, ctl *mining.Control, rep result.Reporter) error {
 	pdb := pre.DB
 	if pdb.NumItems() == 0 {
 		return nil
@@ -101,7 +57,7 @@ func minePrepared(pre *prep.Prepared, minsup int, target Target, ctl *mining.Con
 		ctl:    ctl,
 	}
 	switch target {
-	case All:
+	case engine.All:
 		m.out = func(items itemset.Set, supp int) {
 			rep.Report(pre.DecodeSet(items), supp)
 		}

@@ -4,11 +4,17 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/result"
 	"repro/internal/txdb"
 )
+
+// mine runs SaM the way every caller does: through the engine.
+func mine(db txdb.Source, minsup int, target engine.Target, done <-chan struct{}, rep result.Reporter) error {
+	return engine.Run(db, "sam", engine.Spec{MinSupport: minsup, Target: target, Done: done}, rep)
+}
 
 func randDB(rng *rand.Rand, items, n int, density float64) *txdb.DB {
 	b := txdb.NewBuilder(n, 0)
@@ -51,7 +57,7 @@ func TestAllMatchesBruteForce(t *testing.T) {
 		for _, minsup := range []int{1, 2} {
 			want := bruteAllFrequent(db, minsup)
 			var got result.Set
-			if err := Mine(db, Options{MinSupport: minsup, Target: All}, got.Collect()); err != nil {
+			if err := mine(db, minsup, engine.All, nil, got.Collect()); err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(want) {
@@ -64,7 +70,7 @@ func TestAllMatchesBruteForce(t *testing.T) {
 func TestDuplicateTransactionsCollapse(t *testing.T) {
 	db := txdb.FromInts([]int{0, 1}, []int{0, 1}, []int{0, 1}, []int{1})
 	var got result.Set
-	if err := Mine(db, Options{MinSupport: 3, Target: All}, got.Collect()); err != nil {
+	if err := mine(db, 3, engine.All, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	var want result.Set
@@ -100,7 +106,7 @@ func TestEdgeCasesAndCancel(t *testing.T) {
 	var got result.Set
 	empty := txdb.NewBuilder(0, 0)
 	empty.SetNumItems(2)
-	if err := Mine(empty.Build(), Options{MinSupport: 1}, got.Collect()); err != nil {
+	if err := mine(empty.Build(), 1, engine.Closed, nil, got.Collect()); err != nil {
 		t.Fatal(err)
 	}
 	if got.Len() != 0 {
@@ -109,19 +115,19 @@ func TestEdgeCasesAndCancel(t *testing.T) {
 
 	bad := txdb.NewBuilder(0, 0)
 	bad.AddWeighted(itemset.Set{3, 1}, 1) // not canonical
-	if err := Mine(bad.Build(), Options{MinSupport: 1}, &result.Counter{}); err == nil {
+	if err := mine(bad.Build(), 1, engine.Closed, nil, &result.Counter{}); err == nil {
 		t.Fatal("expected validation error")
 	}
 	wide := txdb.NewBuilder(0, 0)
 	wide.AddInts(3)
-	if err := Mine(narrowed{wide.Build()}, Options{MinSupport: 1}, &result.Counter{}); err == nil {
+	if err := mine(narrowed{wide.Build()}, 1, engine.Closed, nil, &result.Counter{}); err == nil {
 		t.Fatal("expected validation error for an item outside the universe")
 	}
 
 	done := make(chan struct{})
 	close(done)
 	db := randDB(rand.New(rand.NewSource(19)), 30, 80, 0.5)
-	err := Mine(db, Options{MinSupport: 2, Done: done}, &result.Counter{})
+	err := mine(db, 2, engine.Closed, done, &result.Counter{})
 	if err != mining.ErrCanceled {
 		t.Fatalf("err = %v, want ErrCanceled", err)
 	}

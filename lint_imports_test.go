@@ -1,6 +1,7 @@
 package fim
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"os"
@@ -10,7 +11,7 @@ import (
 )
 
 // algorithmPackages are the import paths only the engine layer (and the
-// bench harness, for its ablations) may depend on. The public API and
+// bench harness, for its ablation MineFuncs) may depend on. The public API and
 // the command line tools go through the engine registry instead, so that
 // adding or removing a miner never touches them; register.go is the one
 // sanctioned linking point (blank imports only).
@@ -59,6 +60,62 @@ func TestNoDirectAlgorithmImports(t *testing.T) {
 			ip := strings.Trim(imp.Path.Value, `"`)
 			if algorithmPackages[ip] {
 				t.Errorf("%s imports %s directly; dispatch through the engine registry instead", path, ip)
+			}
+		}
+	}
+}
+
+// TestOneDispatchPath enforces that the engine registry is the only way a
+// miner runs: no algorithm package exports a function (or method) that
+// takes a transaction database (txdb.Source or *txdb.DB) together with a
+// result.Reporter — that is, an entry point doing its own validate, prep
+// and control steps beside Registration.Run. Ablations are exported as
+// engine.MineFuncs over a prepared database instead. Functions returning
+// a collected result (the naive oracles) take no Reporter and stay legal.
+func TestOneDispatchPath(t *testing.T) {
+	isSel := func(e ast.Expr, pkg, name string) bool {
+		sel, ok := e.(*ast.SelectorExpr)
+		if !ok {
+			return false
+		}
+		x, ok := sel.X.(*ast.Ident)
+		return ok && x.Name == pkg && sel.Sel.Name == name
+	}
+	fset := token.NewFileSet()
+	for pkg := range algorithmPackages {
+		dir := filepath.Join("internal", filepath.Base(pkg))
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			name := e.Name()
+			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			path := filepath.Join(dir, name)
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			for _, d := range f.Decls {
+				fn, ok := d.(*ast.FuncDecl)
+				if !ok || !fn.Name.IsExported() {
+					continue
+				}
+				var db, rep bool
+				for _, p := range fn.Type.Params.List {
+					typ := p.Type
+					if star, ok := typ.(*ast.StarExpr); ok {
+						db = db || isSel(star.X, "txdb", "DB")
+					}
+					db = db || isSel(typ, "txdb", "Source")
+					rep = rep || isSel(typ, "result", "Reporter")
+				}
+				if db && rep {
+					t.Errorf("%s: %s takes a transaction database and a result.Reporter; run miners through the engine registry (an ablation is an engine.MineFunc)",
+						fset.Position(fn.Pos()), fn.Name.Name)
+				}
 			}
 		}
 	}
