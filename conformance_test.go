@@ -243,35 +243,42 @@ func contains(s, sub string) bool {
 // TestStatsPopulated: a Stats-carrying run fills the observability fields
 // consistently with the reported result, and every miner counts work
 // (Cobbler's included, whose row blocks run nested Carpenter searches).
+// A second pass runs every miner with a parallel engine at two workers:
+// the workers' private controls must reach the run's counters too.
 func TestStatsPopulated(t *testing.T) {
 	db := paperExample()
-	for _, info := range AlgorithmInfos() {
-		var stats MiningStats
-		var got ResultSet
-		err := Mine(db, Options{MinSupport: 2, Algorithm: info.Name, Stats: &stats}, got.Collect())
-		if err != nil {
-			t.Fatalf("%s: %v", info.Name, err)
-		}
-		if stats.Algorithm != string(info.Name) {
-			t.Errorf("%s: stats.Algorithm = %q", info.Name, stats.Algorithm)
-		}
-		if stats.MinSupport != 2 || stats.Target != TargetClosed {
-			t.Errorf("%s: stats spec echo wrong: %+v", info.Name, stats)
-		}
-		if stats.Patterns != int64(got.Len()) {
-			t.Errorf("%s: stats.Patterns = %d, reported %d", info.Name, stats.Patterns, got.Len())
-		}
-		if stats.Transactions != db.NumTx() || stats.Items != db.NumItems() {
-			t.Errorf("%s: db shape not echoed: %+v", info.Name, stats)
-		}
-		if stats.PreppedTransactions > stats.Transactions || stats.PreppedItems > stats.Items {
-			t.Errorf("%s: prep cannot grow the database: %+v", info.Name, stats)
-		}
-		if stats.Ops <= 0 {
-			t.Errorf("%s: stats.Ops = %d, every miner counts its work", info.Name, stats.Ops)
-		}
-		if stats.String() == "" {
-			t.Errorf("%s: empty stats string", info.Name)
+	for _, workers := range []int{0, 2} {
+		for _, info := range AlgorithmInfos() {
+			if workers > 0 && !info.Parallel {
+				continue
+			}
+			var stats MiningStats
+			var got ResultSet
+			err := Mine(db, Options{MinSupport: 2, Algorithm: info.Name, Parallelism: workers, Stats: &stats}, got.Collect())
+			if err != nil {
+				t.Fatalf("%s -p %d: %v", info.Name, workers, err)
+			}
+			if stats.Algorithm != string(info.Name) {
+				t.Errorf("%s -p %d: stats.Algorithm = %q", info.Name, workers, stats.Algorithm)
+			}
+			if stats.MinSupport != 2 || stats.Target != TargetClosed {
+				t.Errorf("%s -p %d: stats spec echo wrong: %+v", info.Name, workers, stats)
+			}
+			if stats.Patterns != int64(got.Len()) {
+				t.Errorf("%s -p %d: stats.Patterns = %d, reported %d", info.Name, workers, stats.Patterns, got.Len())
+			}
+			if stats.Transactions != db.NumTx() || stats.Items != db.NumItems() {
+				t.Errorf("%s -p %d: db shape not echoed: %+v", info.Name, workers, stats)
+			}
+			if stats.PreppedTransactions > stats.Transactions || stats.PreppedItems > stats.Items {
+				t.Errorf("%s -p %d: prep cannot grow the database: %+v", info.Name, workers, stats)
+			}
+			if stats.Ops <= 0 {
+				t.Errorf("%s -p %d: stats.Ops = %d, every miner counts its work", info.Name, workers, stats.Ops)
+			}
+			if stats.String() == "" {
+				t.Errorf("%s -p %d: empty stats string", info.Name, workers)
+			}
 		}
 	}
 }

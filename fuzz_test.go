@@ -11,8 +11,9 @@ import (
 // (at most 12 items) and checks every registered miner, on every target it
 // declares, against the brute-force oracles: ClosedByItemSubsets for
 // closed, FrequentByItemSubsets for all, and the maximal sets of the
-// closed oracle for maximal. The sharded parallel IsTa must reproduce the
-// closed oracle too. Any divergence is a bug in a miner.
+// closed oracle for maximal. Both parallel engines (sharded IsTa and
+// branch-parallel Carpenter-table) must reproduce the closed oracle too.
+// Any divergence is a bug in a miner.
 func FuzzMinerAgreement(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 0, 2, 3, 4, 0, 1, 3}, uint8(2))
 	f.Add([]byte{}, uint8(1))
@@ -50,13 +51,15 @@ func FuzzMinerAgreement(f *testing.F) {
 				}
 			}
 		}
-		var par ResultSet
-		if err := Mine(db, Options{MinSupport: minsup, Algorithm: IsTa, Parallelism: 3}, par.Collect()); err != nil {
-			t.Fatal(err)
-		}
-		if !par.Equal(closed) {
-			t.Fatalf("parallel IsTa disagrees with the oracle (minsup=%d, db=%v):\n%s",
-				minsup, db, par.Diff(closed, 10))
+		for _, algo := range []Algorithm{IsTa, CarpenterTable} {
+			var par ResultSet
+			if err := Mine(db, Options{MinSupport: minsup, Algorithm: algo, Parallelism: 3}, par.Collect()); err != nil {
+				t.Fatalf("parallel %s: %v", algo, err)
+			}
+			if !par.Equal(closed) {
+				t.Fatalf("parallel %s disagrees with the oracle (minsup=%d, db=%v):\n%s",
+					algo, minsup, db, par.Diff(closed, 10))
+			}
 		}
 	})
 }

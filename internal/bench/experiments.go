@@ -284,7 +284,14 @@ func runPrune(cfg Config, w io.Writer) error {
 		return err
 	}
 	db = gendata.Thrombin(cfg.scale(0.02), cfg.seed(3))
-	return sweepPlain(w, cfg, "prune-thrombin", "Pruning/elimination ablation (thrombin-like)", db, []int{38, 36, 34}, algos, cfg.timeout(15*time.Second))
+	if err := sweepPlain(w, cfg, "prune-thrombin", "Pruning/elimination ablation (thrombin-like)", db, []int{38, 36, 34}, algos, cfg.timeout(15*time.Second)); err != nil {
+		return err
+	}
+	// IsTa without pruning times out at every support of the two sweeps
+	// above; this smaller yeast-like workload gives the §3.2 ablation a
+	// number.
+	db = gendata.Yeast(cfg.scale(0.08), cfg.seed(1))
+	return sweepPlain(w, cfg, "prune-yeast-small", "Pruning/elimination ablation (small yeast-like)", db, []int{16, 12, 10}, algos, cfg.timeout(15*time.Second))
 }
 
 func runCobbler(cfg Config, w io.Writer) error {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/itemset"
 	"repro/internal/mining"
-	"repro/internal/obs"
 	"repro/internal/prep"
 	"repro/internal/result"
 )
@@ -98,13 +97,12 @@ type TableWorker struct {
 	m *miner
 }
 
-// NewWorker returns a fresh worker with its own repository and
-// cancellation control on the shared guard g (which may be nil) feeding
-// the shared counters (which may also be nil), so worker work shows up
-// in the run's stats and progress; rep receives the worker's (possibly
-// duplicate or partial-support) reports in prepared item codes decoded
-// to original codes.
-func (b *TableBrancher) NewWorker(done <-chan struct{}, g *guard.Guard, counters *obs.Counters, rep result.Reporter) *TableWorker {
+// NewWorker returns a fresh worker with its own repository, polling and
+// charging its work to ctl (the worker's private control; the caller
+// flushes it); rep receives the worker's (possibly duplicate or
+// partial-support) reports in prepared item codes decoded to original
+// codes.
+func (b *TableBrancher) NewWorker(ctl *mining.Control, rep result.Reporter) *TableWorker {
 	return &TableWorker{m: &miner{
 		minsup: b.minsup,
 		n:      b.n,
@@ -114,7 +112,7 @@ func (b *TableBrancher) NewWorker(done <-chan struct{}, g *guard.Guard, counters
 		suffW:  b.suffW,
 		pre:    b.pre,
 		rep:    rep,
-		ctl:    mining.GuardedCounted(done, g, counters),
+		ctl:    ctl,
 		matrix: b.matrix,
 	}}
 }

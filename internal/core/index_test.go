@@ -181,7 +181,7 @@ func lockstepIndex(t *testing.T, pdb *txdb.DB, weights []int, minsup, every int)
 		switch {
 		case every == 0:
 			laid := indexed.laid
-			indexed.Maintain(remain, minsup)
+			indexed.maintain(remain, minsup)
 			if indexed.laid == laid {
 				continue
 			}

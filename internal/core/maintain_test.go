@@ -329,7 +329,7 @@ func TestMaintainMinSupportOneLargeTree(t *testing.T) {
 			remain[i]--
 		}
 		laid := tree.laid
-		tree.Maintain(remain, 1)
+		tree.maintain(remain, 1)
 		if tree.laid != laid {
 			passes++
 			checkPreorder(t, tree)

@@ -3,12 +3,12 @@ package core
 // pruneMinNodes avoids pruning while the tree is trivially small.
 const pruneMinNodes = 4096
 
-// Maintain runs a batch miner's tree maintenance after a transaction: a
-// Prune pass once the tree holds at least pruneMinNodes nodes and has
-// grown by an eighth since the last pass. The pass is linear in the tree
-// size, so its amortized cost stays proportional to growth. remain is as
-// for Prune.
-func (t *Tree) Maintain(remain []int, minSupport int) {
+// maintain is Intersect's tree maintenance after a transaction: a Prune
+// pass once the tree holds at least pruneMinNodes nodes and has grown by
+// an eighth since the last pass. The pass is linear in the tree size, so
+// its amortized cost stays proportional to growth. remain is as for
+// Prune.
+func (t *Tree) maintain(remain []int, minSupport int) {
 	if n := t.arena.live; n >= pruneMinNodes && n >= t.laid+t.laid/8 {
 		t.Prune(remain, minSupport)
 	}

@@ -2,12 +2,10 @@ package parallel
 
 import (
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/guard"
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/obs"
@@ -44,21 +42,15 @@ func splitByWork(db *txdb.DB, workers int) []*txdb.DB {
 }
 
 // minePreparedIsTa is the sharded IsTa engine on an already preprocessed
-// database. The reported pattern set is identical to the sequential
-// "ista" registration's; the emission order is deterministic but differs
-// from the sequential traversal order. cfg.done/cfg.g are needed separately from cfg.ctl because
-// each worker builds a private control on them (sharing ctl's Counters,
-// so worker work shows up in the run's stats and progress); cfg.run,
-// when non-nil, receives the merge-phase span; cfg.policy, when
-// enabled, supervises failed shards (sequential re-mines, then
-// degradation to a typed partial result).
-func minePreparedIsTa(pre *prep.Prepared, cfg runCfg, rep result.Reporter) error {
-	minsup, workers := cfg.minsup, cfg.workers
-	done, g, ctl, run := cfg.done, cfg.g, cfg.ctl, cfg.run
+// database, fanned out across spec.Workers (≥ 2) workers. The reported
+// pattern set is identical to the sequential "ista" registration's; the
+// emission order is deterministic but differs from the sequential
+// traversal order. spec.Retry, when enabled, supervises failed shards
+// (sequential re-mines, then degradation to a typed partial result), and
+// the merge phase is reported as a span to spec.Observer().
+func minePreparedIsTa(pre *prep.Prepared, spec *engine.Spec, rep result.Reporter) error {
+	minsup, workers, ctl := spec.MinSupport, spec.Workers, spec.Control()
 	pdb := pre.DB
-	if pdb.NumItems() == 0 {
-		return nil
-	}
 	if err := ctl.Tick(); err != nil {
 		return err
 	}
@@ -69,85 +61,30 @@ func minePreparedIsTa(pre *prep.Prepared, cfg runCfg, rep result.Reporter) error
 	// minsup - (W - W_i) — the other shards can contribute at most their
 	// total weight — so each shard may mine (and prune) at that floor; it
 	// degrades to 1 on many-transaction workloads, where no shard-local
-	// threshold above 1 is sound.
-	totalW := pdb.TotalWeight()
-	counters := ctl.Counters()
+	// threshold above 1 is sound. The guard's node budget bounds each
+	// shard's private tree. A shard lost to supervision is set to nil.
 	shards := splitByWork(pdb, workers)
 	patterns := make([][]result.Pattern, workers) // shard-closed sets, prepared codes
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			// Contain panics: a crashing worker must not take down the
-			// process. The pool drains through the WaitGroup — workers
-			// share no channels, so no goroutine can block forever — and
-			// the panic surfaces as a *guard.PanicError from firstError.
-			defer guard.Recover(&errs[w])
-			floor := minsup - (totalW - shards[w].TotalWeight())
-			if floor < 1 {
-				floor = 1
-			}
-			patterns[w], errs[w] = mineShard(shards[w], floor, done, g, counters)
-		}(w)
-	}
-	wg.Wait()
-
-	// Supervision (the degradation ladder): re-mine each failed shard
-	// sequentially per the retry policy; a shard that stays failed is
-	// abandoned and the run continues over the covered shards only,
-	// returning a typed partial result at the end. With the zero policy
-	// any failure aborts the run exactly as before (panic containment
-	// first, then first worker order). A deliberate stop anywhere aborts
-	// even with healing on — retrying others would only re-observe the
-	// latched cancellation or budget trip.
-	if !cfg.policy.Enabled() {
-		if err := firstError(errs); err != nil {
+	lost, err := fanOut(spec, "shard", true, func(w int, wctl *mining.Control) error {
+		floor := max(minsup-(pdb.TotalWeight()-shards[w].TotalWeight()), 1)
+		tree, err := core.Intersect(shards[w], floor, floor > 1, wctl)
+		if err != nil {
 			return err
 		}
-	}
-	for _, err := range errs {
-		if err != nil && stops(err) {
-			return err
-		}
-	}
-	covered := make([]bool, workers)
-	for w := range covered {
-		covered[w] = errs[w] == nil
-	}
-	var shardErrs []engine.ShardError
-	for w := 0; w < workers; w++ {
-		if errs[w] == nil {
-			continue
-		}
-		healed, serr, stop := cfg.supervise("shard", w, true, errs[w], func() (err error) {
-			defer guard.Recover(&err)
-			floor := minsup - (totalW - shards[w].TotalWeight())
-			if floor < 1 {
-				floor = 1
-			}
-			var e error
-			patterns[w], e = mineShard(shards[w], floor, done, g, counters)
-			if err == nil {
-				err = e
-			}
-			return err
+		patterns[w] = nil // a retried shard starts over
+		tree.Report(floor, func(s itemset.Set, supp int) {
+			patterns[w] = append(patterns[w], result.Pattern{Items: s, Support: supp})
 		})
-		switch {
-		case stop != nil:
-			return stop
-		case healed:
-			covered[w] = true
-		default:
-			shardErrs = append(shardErrs, *serr)
+		if tree.Aborted() {
+			return wctl.Cause()
 		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if len(shardErrs) == workers {
-		// Nothing survived: no covered sub-database exists, so there is no
-		// valid result prefix to build. Report the loss without touching
-		// the merge phases.
-		return &engine.PartialError{Shards: shardErrs}
+	for _, se := range lost {
+		shards[se.Shard] = nil
 	}
 	mergeStart := time.Now()
 
@@ -161,77 +98,45 @@ func minePreparedIsTa(pre *prep.Prepared, cfg runCfg, rep result.Reporter) error
 	// at least the set's true support, so pruning the merge tree at
 	// minsup (with remain counts in replay weights) is sound and keeps
 	// the pass tractable; the surviving nodes are still a complete
-	// closure-candidate family for the frequent closed sets. Identical
-	// sets from different shards are combined up front by summing their
-	// weights — exactly equivalent to replaying both — and the replay
-	// runs in ascending set size, the fast order of §3.4.
+	// closure-candidate family for the frequent closed sets. The replay is
+	// a weighted database run through the same pass loop: identical sets
+	// from different shards are folded into one row by summing their
+	// weights — exactly equivalent to replaying both — and the rows come
+	// in ascending set size, the fast order of §3.4.
 	// A shard whose closed-set count exceeds its row count gained
 	// nothing from closure "compression" (common on sparse basket data);
 	// replaying its raw rows at their own weights is cheaper and its
 	// contribution to every node's weighted support becomes exact —
 	// cl_i(X) is then itself an intersection of replayed transactions, so
 	// candidate completeness is unaffected.
-	type wpat struct {
-		items  itemset.Set
-		weight int
-	}
-	index := make(map[string]int)
-	var replay []wpat
-	addReplay := func(s itemset.Set, weight int) {
-		k := s.Key()
-		if i, ok := index[k]; ok {
-			replay[i].weight += weight
-		} else {
-			index[k] = len(replay)
-			replay = append(replay, wpat{s, weight})
-		}
-	}
-	for w, shard := range patterns {
-		if !covered[w] {
+	var replay []result.Pattern
+	for w, shard := range shards {
+		if shard == nil {
 			continue
 		}
-		if len(shard) >= shards[w].NumTx() {
-			for k, n := 0, shards[w].NumTx(); k < n; k++ {
-				addReplay(shards[w].Tx(k), shards[w].Weight(k))
-			}
+		if len(patterns[w]) < shard.NumTx() {
+			replay = append(replay, patterns[w]...)
 			continue
 		}
-		for _, p := range shard {
-			addReplay(p.Items, p.Support)
+		for k, n := 0, shard.NumTx(); k < n; k++ {
+			replay = append(replay, result.Pattern{Items: shard.Tx(k), Support: shard.Weight(k)})
 		}
 	}
 	sort.Slice(replay, func(i, j int) bool {
-		if len(replay[i].items) != len(replay[j].items) {
-			return len(replay[i].items) < len(replay[j].items)
-		}
-		return itemset.Compare(replay[i].items, replay[j].items) < 0
+		return itemset.Compare(replay[i].Items, replay[j].Items) < 0
 	})
-	remain := make([]int, pdb.NumItems())
-	for _, p := range replay {
-		for _, it := range p.items {
-			remain[it] += p.weight
+	b := txdb.NewBuilder(len(replay), 0)
+	b.SetNumItems(pdb.NumItems())
+	for i := 0; i < len(replay); {
+		s, weight := replay[i].Items, 0
+		for ; i < len(replay) && itemset.Compare(replay[i].Items, s) == 0; i++ {
+			weight += replay[i].Support
 		}
+		b.AddWeighted(s, weight)
 	}
-	mtree := core.NewTree(pdb.NumItems())
-	mtree.SetCancel(func() bool {
-		return ctl.PollNodes(mtree.NodeCount()) != nil || ctl.Canceled()
-	})
-	for _, p := range replay {
-		if err := ctl.Tick(); err != nil {
-			return err
-		}
-		ctl.CountOps(1) // one weighted replay insertion
-		mtree.AddWeighted(p.items, p.weight)
-		if mtree.Aborted() {
-			return ctl.Cause()
-		}
-		if err := ctl.PollNodes(mtree.NodeCount()); err != nil {
-			return err
-		}
-		for _, it := range p.items {
-			remain[it] -= p.weight
-		}
-		mtree.Maintain(remain, minsup)
+	mtree, err := core.Intersect(b.Build(), minsup, true, ctl)
+	if err != nil {
+		return err
 	}
 	var cands []itemset.Set
 	mtree.Walk(func(s itemset.Set, _ int) {
@@ -249,50 +154,26 @@ func minePreparedIsTa(pre *prep.Prepared, cfg runCfg, rep result.Reporter) error
 	// the outcome. In a degraded run the count database holds only the
 	// surviving shards' rows (rebuilt through the builder, weights and
 	// all), so every computed support is exact over the covered
-	// sub-database — a lower bound on the true support.
+	// sub-database — a lower bound on the true support. Recount stripes
+	// are retried but never degraded: dropping one would leave candidate
+	// supports unknown, breaking the exactness the closedness filter
+	// depends on.
 	countDB := pdb
-	if len(shardErrs) > 0 {
+	if len(lost) > 0 {
 		b := txdb.NewBuilder(0, 0)
 		b.SetNumItems(pdb.NumItems())
-		for w := range shards {
-			if !covered[w] {
-				continue
-			}
-			for k, n := 0, shards[w].NumTx(); k < n; k++ {
-				b.AddWeighted(shards[w].Tx(k), shards[w].Weight(k))
+		for _, shard := range shards {
+			for k := 0; shard != nil && k < shard.NumTx(); k++ {
+				b.AddWeighted(shard.Tx(k), shard.Weight(k))
 			}
 		}
 		countDB = b.Build()
 	}
 	supp := make([]int, len(cands))
-	countErrs := make([]error, workers)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			defer guard.Recover(&countErrs[w])
-			countErrs[w] = countStripe(countDB, cands, supp, w, workers, minsup, done, g, counters)
-		}(w)
-	}
-	wg.Wait()
-	// Recount failures are retried sequentially too, but never degraded:
-	// dropping a recount stripe would leave candidate supports unknown,
-	// breaking the exactness the closedness filter depends on, so a
-	// stripe that stays failed aborts the run.
-	for w := 0; w < workers; w++ {
-		if countErrs[w] == nil {
-			continue
-		}
-		healed, _, stop := cfg.supervise("recount stripe", w, false, countErrs[w], func() (err error) {
-			defer guard.Recover(&err)
-			if e := countStripe(countDB, cands, supp, w, workers, minsup, done, g, counters); err == nil {
-				err = e
-			}
-			return err
-		})
-		if !healed {
-			return stop
-		}
+	if _, err := fanOut(spec, "recount stripe", false, func(w int, wctl *mining.Control) error {
+		return countStripe(countDB, cands, supp, w, workers, minsup, wctl)
+	}); err != nil {
+		return err
 	}
 
 	// Phase 4: drop infrequent candidates and filter out the non-closed
@@ -312,12 +193,12 @@ func minePreparedIsTa(pre *prep.Prepared, cfg runCfg, rep result.Reporter) error
 	filt.Emit(result.ReporterFunc(func(s itemset.Set, support int) {
 		rep.Report(pre.DecodeSet(s), support)
 	}))
-	run.Span(obs.PhaseMerge, mergeStart)
-	if len(shardErrs) > 0 {
+	spec.Observer().Span(obs.PhaseMerge, mergeStart)
+	if len(lost) > 0 {
 		// Everything reported above is valid — closed in the full database
 		// (each pattern is an intersection of covered transactions) with
 		// exact covered-sub-database support — but coverage is partial.
-		return &engine.PartialError{Shards: shardErrs}
+		return &engine.PartialError{Shards: lost}
 	}
 	return nil
 }
@@ -326,8 +207,7 @@ func minePreparedIsTa(pre *prep.Prepared, cfg runCfg, rep result.Reporter) error
 // to worker stripe w (every workers-th candidate starting at w) against
 // db's vertical view. Re-running a stripe is idempotent — supports land
 // in preassigned slots — which is what lets the supervisor retry it.
-func countStripe(db *txdb.DB, cands []itemset.Set, supp []int, w, workers, minsup int, done <-chan struct{}, g *guard.Guard, counters *obs.Counters) error {
-	wctl := mining.GuardedCounted(done, g, counters)
+func countStripe(db *txdb.DB, cands []itemset.Set, supp []int, w, workers, minsup int, ctl *mining.Control) error {
 	sets := db.KernelSets()
 	// A flat kernel (no diffset results) because the ping-pong hold slots
 	// below give intermediate sets no stable parent storage; its level-0
@@ -335,74 +215,15 @@ func countStripe(db *txdb.DB, cands []itemset.Set, supp []int, w, workers, minsu
 	ker := tidset.NewFlatKernel(db.KernelUniverse())
 	var hold [2]tidset.Set
 	for i := w; i < len(cands); i += workers {
-		if err := wctl.Tick(); err != nil {
+		if err := ctl.Tick(); err != nil {
 			return err
 		}
-		wctl.CountOps(1) // one exact candidate recount
+		ctl.CountOps(1) // one exact candidate recount
 		supp[i] = countSupport(ker, sets, cands[i], minsup, &hold)
 		st := ker.DrainStats()
-		wctl.CountKernel(st.Isects, st.EarlyStops, st.Switches)
+		ctl.CountKernel(st.Isects, st.EarlyStops, st.Switches)
 	}
-	wctl.Flush()
 	return nil
-}
-
-// mineShard runs the cumulative intersection scheme over one shard view
-// and returns its closed sets with shard support at least minsup (the
-// sound shard-local floor computed by the caller) in prepared item codes.
-// When the floor exceeds 1 the standard item-elimination pruning applies
-// shard-locally. The guard's node budget bounds this shard's private
-// tree; the shared counters (may be nil) receive this shard's ops and
-// checkpoint counts.
-func mineShard(shard *txdb.DB, minsup int, done <-chan struct{}, g *guard.Guard, counters *obs.Counters) ([]result.Pattern, error) {
-	ctl := mining.GuardedCounted(done, g, counters)
-	items := shard.NumItems()
-	n := shard.NumTx()
-	tree := core.NewTree(items)
-	tree.SetCancel(func() bool {
-		return ctl.PollNodes(tree.NodeCount()) != nil || ctl.Canceled()
-	})
-	var remain []int
-	if minsup > 1 {
-		remain = make([]int, items)
-		for k := 0; k < n; k++ {
-			w := shard.Weight(k)
-			for _, it := range shard.Tx(k) {
-				remain[it] += w
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		t := shard.Tx(k)
-		w := shard.Weight(k)
-		if err := ctl.Tick(); err != nil {
-			return nil, err
-		}
-		ctl.CountOps(1) // one cumulative intersection pass per transaction
-		tree.AddWeighted(t, w)
-		if tree.Aborted() {
-			return nil, ctl.Cause()
-		}
-		if err := ctl.PollNodes(tree.NodeCount()); err != nil {
-			return nil, err
-		}
-		if remain == nil {
-			continue
-		}
-		for _, it := range t {
-			remain[it] -= w
-		}
-		tree.Maintain(remain, minsup)
-	}
-	var out []result.Pattern
-	tree.Report(minsup, func(s itemset.Set, supp int) {
-		out = append(out, result.Pattern{Items: s, Support: supp})
-	})
-	if tree.Aborted() {
-		return nil, ctl.Cause()
-	}
-	ctl.Flush()
-	return out, nil
 }
 
 // countSupport returns the exact weighted support of items in the

@@ -5,21 +5,24 @@
 // count.
 //
 // Parallel IsTa shards the prepared transaction list across workers, each
-// of which runs the cumulative intersection scheme (§3.2 of the paper) on
-// its shard with a private prefix tree. The shard results are merged by
-// replaying every shard's closed sets as support-weighted transactions
-// (core.Tree.AddWeighted) into a merge tree: the closed sets of the full
-// database are intersections of per-shard closed sets, so the merge tree's
-// nodes form a complete closure-candidate family. Candidate supports are
-// then recomputed exactly against the prepared database and the
-// non-closed candidates are removed with the same-support subsumption
-// filter of internal/result. See DESIGN.md ("Parallel mining") for why
-// this reconstruction is exact.
+// of which runs the cumulative intersection scheme (§3.2 of the paper,
+// core.Intersect) on its shard with a private prefix tree. The shard
+// results are merged by replaying every shard's closed sets as
+// support-weighted transactions through the same loop into a merge tree:
+// the closed sets of the full database are intersections of per-shard
+// closed sets, so the merge tree's nodes form a complete closure-candidate
+// family. Candidate supports are then recomputed exactly against the
+// prepared database and the non-closed candidates are removed with the
+// same-support subsumption filter of internal/result. See DESIGN.md
+// ("Parallel mining") for why this reconstruction is exact.
 //
 // Parallel Carpenter-table fans the top-level transaction-set branches of
 // §3.1.2 out to a bounded worker pool with per-worker repositories
 // (carpenter.TableBrancher) and merges the per-worker reports with a
 // keep-the-maximum pass (result.MaxMerger).
+//
+// Both engines run their worker phases through one supervised fan-out
+// (fanOut).
 package parallel
 
 import "repro/internal/guard"

@@ -17,22 +17,18 @@ func init() {
 }
 
 // register attaches mine as the parallel engine of the named miner. The
-// engine resolves the worker count (negative: all cores) and with one
-// worker runs the sequential registration under the same Spec.
-func register(name string, mine func(*prep.Prepared, runCfg, result.Reporter) error) {
+// engine resolves the worker count (negative: all cores) into the Spec
+// mine receives, and with one worker runs the sequential registration
+// under the same Spec.
+func register(name string, mine engine.MineFunc) {
 	seq, _ := engine.Lookup(name)
 	engine.RegisterParallel(name, func(pre *prep.Prepared, spec *engine.Spec, rep result.Reporter) error {
-		workers := spec.Workers
-		if workers < 1 {
-			workers = runtime.GOMAXPROCS(0)
+		if spec.Workers < 1 {
+			spec.Workers = runtime.GOMAXPROCS(0)
 		}
-		if workers <= 1 {
+		if spec.Workers <= 1 {
 			return seq.Mine(pre, spec, rep)
 		}
-		return mine(pre, runCfg{
-			minsup: spec.MinSupport, workers: workers,
-			done: spec.Done, g: spec.Guard,
-			ctl: spec.Control(), run: spec.Observer(), policy: spec.Retry,
-		}, rep)
+		return mine(pre, spec, rep)
 	})
 }

@@ -3,6 +3,7 @@ package parallel
 import (
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/guard"
@@ -10,21 +11,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/retry"
 )
-
-// runCfg bundles the run context both parallel engines thread through
-// their phases: the resolved support and worker count, the cancellation
-// and budget machinery, the observation handle, and the retry policy of
-// the self-healing supervisor (zero policy = fail-stop, today's
-// behavior).
-type runCfg struct {
-	minsup  int
-	workers int
-	done    <-chan struct{}
-	g       *guard.Guard
-	ctl     *mining.Control
-	run     *obs.Run
-	policy  retry.Policy
-}
 
 // stops reports whether err is a deliberate stop — cooperative
 // cancellation or a tripped guard budget. Stops abort the run and are
@@ -50,42 +36,81 @@ func retryable(err error) bool {
 	return retry.IsTransient(err)
 }
 
-// supervise is the degradation ladder for one failed work unit (a shard
-// or a worker's branch group): re-run it sequentially up to the
-// policy's attempt budget. kind names the unit in events; degradable
-// selects what exhaustion means — abandon the unit into a typed
-// per-unit report (the run continues and returns a partial result), or
-// abort the whole run (for units like the recount stripes, whose loss
-// would break the result's exactness rather than just its coverage).
+// fanOut is the parallel engines' one supervised fan-out: it runs
+// unit(w, ctl) for every worker w < spec.Workers on its own goroutine and
+// then supervises the failed units. Each attempt gets a private control
+// on the run's done channel and guard, feeding the run's counters (so
+// worker work shows up in stats and progress), and flushes it however
+// the attempt ends. Panics are contained per attempt: the pool drains
+// through the WaitGroup — workers share no channels, so no goroutine can
+// block forever — and a panic surfaces as a *guard.PanicError.
 //
-// It returns exactly one of three outcomes: healed (the unit's result
-// is valid again), a *engine.ShardError (the unit is abandoned and the
-// run degrades), or a stop error that must abort the whole run — the
-// failure was a deliberate stop, an unclassified permanent error, the
-// policy is disabled, or a non-degradable unit exhausted its attempts.
-func (c *runCfg) supervise(kind string, unit int, degradable bool, firstErr error, attempt func() error) (healed bool, serr *engine.ShardError, stop error) {
-	if !c.policy.Enabled() || !retryable(firstErr) {
-		return false, nil, firstErr
+// Supervision is the degradation ladder. With the zero retry policy any
+// failure aborts the run (firstError), and a deliberate stop aborts it
+// even with healing on, since retrying others would only re-observe the
+// latched cancellation or budget trip. Otherwise each retryable failure
+// is re-run sequentially up to the policy's attempt budget. A unit that
+// stays failed is abandoned into the returned per-unit report when
+// degradable — the run continues over the other units and returns a
+// typed partial result, or one at once when every unit is lost — and
+// aborts the run when not (for units like the recount stripes, whose
+// loss would break the result's exactness rather than its coverage).
+// kind names the unit in events. Units must be idempotent.
+func fanOut(spec *engine.Spec, kind string, degradable bool, unit func(w int, ctl *mining.Control) error) ([]engine.ShardError, error) {
+	counters := spec.Control().Counters()
+	attempt := func(w int) (err error) {
+		defer guard.Recover(&err)
+		ctl := mining.GuardedCounted(spec.Done, spec.Guard, counters)
+		defer ctl.Flush()
+		return unit(w, ctl)
 	}
-	counters := c.ctl.Counters()
-	err := firstErr
-	for a := 1; a <= c.policy.MaxAttempts; a++ {
-		if !c.policy.Sleep(c.done, a) {
-			return false, nil, mining.ErrCanceled
-		}
-		counters.Add(obs.Counts{Retries: 1})
-		c.run.Note(obs.NoteRetry, fmt.Sprintf("%s %d attempt %d after: %v", kind, unit, a, err))
-		if err = attempt(); err == nil {
-			return true, nil, nil
-		}
-		if stops(err) || !retryable(err) {
-			return false, nil, err
+	errs := make([]error, spec.Workers)
+	var wg sync.WaitGroup
+	for w := range errs {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			errs[w] = attempt(w)
+		}(w)
+	}
+	wg.Wait()
+
+	policy, run := spec.Retry, spec.Observer()
+	if !policy.Enabled() {
+		return nil, firstError(errs)
+	}
+	for _, err := range errs {
+		if err != nil && stops(err) {
+			return nil, err
 		}
 	}
-	if !degradable {
-		return false, nil, err
+	var lost []engine.ShardError
+	for w, err := range errs {
+		for a := 1; err != nil && a <= policy.MaxAttempts; a++ {
+			if !retryable(err) {
+				return nil, err
+			}
+			if !policy.Sleep(spec.Done, a) {
+				return nil, mining.ErrCanceled
+			}
+			counters.Add(obs.Counts{Retries: 1})
+			run.Note(obs.NoteRetry, fmt.Sprintf("%s %d attempt %d after: %v", kind, w, a, err))
+			err = attempt(w)
+		}
+		switch {
+		case err == nil:
+		case !degradable || !retryable(err):
+			return nil, err
+		default:
+			counters.Add(obs.Counts{Degraded: 1})
+			run.Note(obs.NoteDegrade, fmt.Sprintf("%s %d abandoned after %d retries: %v", kind, w, policy.MaxAttempts, err))
+			lost = append(lost, engine.ShardError{Shard: w, Attempts: policy.MaxAttempts, Err: err})
+		}
 	}
-	counters.Add(obs.Counts{Degraded: 1})
-	c.run.Note(obs.NoteDegrade, fmt.Sprintf("%s %d abandoned after %d retries: %v", kind, unit, c.policy.MaxAttempts, err))
-	return false, &engine.ShardError{Shard: unit, Attempts: c.policy.MaxAttempts, Err: err}, nil
+	if len(lost) == len(errs) {
+		// Nothing survived: there is no covered sub-database and hence no
+		// valid result prefix to build.
+		return nil, &engine.PartialError{Shards: lost}
+	}
+	return lost, nil
 }

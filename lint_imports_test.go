@@ -121,6 +121,69 @@ func TestOneDispatchPath(t *testing.T) {
 	}
 }
 
+// TestOneIsTaLoop enforces that IsTa's pass loop (§3.2: intersect each
+// transaction into the prefix tree, count down remain, prune) is written
+// once, as core.Intersect: no non-test file outside internal/core may
+// reference core.NewTree, so no other package can build a tree and drive
+// AddWeighted and the maintenance trigger itself. perfbench/ is a
+// separate module (its own go.mod) and is not scanned; its mirror of the
+// loop is the benchmark's own instrumentation.
+func TestOneIsTaLoop(t *testing.T) {
+	fset := token.NewFileSet()
+	scanned := 0
+	err := filepath.Walk(".", func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		if info.IsDir() {
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); path != "." && err == nil {
+				return filepath.SkipDir // another module
+			}
+			if path == filepath.Join("internal", "core") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		scanned++
+		name := ""
+		for _, imp := range f.Imports {
+			if strings.Trim(imp.Path.Value, `"`) == "repro/internal/core" {
+				name = "core"
+				if imp.Name != nil {
+					name = imp.Name.Name
+				}
+			}
+		}
+		if name == "" {
+			return nil
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || sel.Sel.Name != "NewTree" {
+				return true
+			}
+			if x, ok := sel.X.(*ast.Ident); ok && x.Name == name {
+				t.Errorf("%s: references core.NewTree; run IsTa's pass loop through core.Intersect", fset.Position(sel.Pos()))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scanned < 50 {
+		t.Fatalf("lint scanned only %d files — wrong working directory?", scanned)
+	}
+}
+
 // TestTxdbLayering enforces the columnar store's position at the bottom
 // of the package DAG. Four rules keep the representation truly shared:
 //
