@@ -9,7 +9,7 @@
 // (cumulative intersection with a prefix tree repository) and Carpenter
 // (transaction set enumeration, list- and table-based) — together with
 // the enumeration baselines the paper compares against (FP-growth /
-// FP-close, LCM, Eclat, Apriori), the flat cumulative baseline, synthetic
+// FP-close, LCM, Eclat), Cobbler, the flat cumulative baseline, synthetic
 // workload generators shaped like the paper's data sets, and association
 // rule induction from closed item sets.
 //
@@ -86,9 +86,7 @@ const (
 	LCM            Algorithm = "lcm"             // ppc-extension closed miner (Uno et al.)
 	EclatClosed    Algorithm = "eclat"           // Eclat with closed output (Zaki et al.)
 	Cobbler        Algorithm = "cobbler"         // combined column/row enumeration (Pan et al.)
-	SaM            Algorithm = "sam"             // split-and-merge (Borgelt & Wang), closed via filter
 	FlatCumulative Algorithm = "flat"            // Mielikäinen's flat cumulative scheme
-	Apriori        Algorithm = "apriori"         // level-wise candidate generation (Agrawal & Srikant)
 )
 
 // Algorithms lists the registered mining algorithms in presentation
@@ -250,8 +248,7 @@ type Options struct {
 	// memory on dense inputs whose repository would otherwise grow
 	// exponentially. Mine returns an error wrapping ErrBudget once the
 	// cap is exceeded. FP-close and Eclat keep their CFI-tree outside the
-	// budget, and LCM, SaM and Apriori keep no repository; all five ignore
-	// the field.
+	// budget, and LCM keeps no repository; all three ignore the field.
 	MaxTreeNodes int
 	// Retry, when enabled (MaxAttempts > 0), arms the self-healing
 	// supervisor in the parallel engines: a failed shard or branch worker

@@ -30,7 +30,6 @@ import (
 	_ "repro/internal/lcm"
 	_ "repro/internal/naive"
 	_ "repro/internal/parallel"
-	_ "repro/internal/sam"
 )
 
 // Algo is one mining algorithm under test.
@@ -88,7 +87,6 @@ func Algorithms() map[string]Algo {
 		engineAlgo("lcm", "lcm", 1),
 		engineAlgo("eclat-closed", "eclat", 1),
 		engineAlgo("cobbler", "cobbler", 1),
-		engineAlgo("sam", "sam", 1),
 		engineAlgo("flat", "flat", 1),
 		ablation("ista-noprune", "ista", core.MineNoPrune),
 		ablation("carp-table-noelim", "carpenter-table", carpenter.MineTableNoElim),

@@ -32,7 +32,7 @@ func smallDB() *txdb.DB {
 func TestAlgorithmsRegistryComplete(t *testing.T) {
 	algos := Algorithms()
 	for _, name := range []string{"ista", "carp-table", "carp-lists", "fpclose", "lcm", "eclat-closed", "flat",
-		"cobbler", "sam", "ista-noprune", "carp-table-noelim", "carp-lists-noelim", "carp-table-hash"} {
+		"cobbler", "ista-noprune", "carp-table-noelim", "carp-lists-noelim", "carp-table-hash"} {
 		if _, ok := algos[name]; !ok {
 			t.Errorf("algorithm %q missing from registry", name)
 		}
@@ -62,7 +62,7 @@ func TestSweepAgreement(t *testing.T) {
 	db := smallDB()
 	algos := []string{"ista", "ista-noprune", "carp-table", "carp-lists",
 		"carp-table-noelim", "carp-lists-noelim", "carp-table-hash",
-		"fpclose", "lcm", "eclat-closed", "cobbler", "sam", "flat"}
+		"fpclose", "lcm", "eclat-closed", "cobbler", "flat"}
 	rows, err := Sweep(db, []int{8, 5, 3, 2}, algos, time.Minute)
 	if err != nil {
 		t.Fatal(err)

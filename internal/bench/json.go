@@ -29,12 +29,15 @@ type JSONRow struct {
 }
 
 // JSONCell is one (algorithm, support level) measurement. The run
-// counters appear under their obs.Counts keys.
+// counters appear under their obs.Counts keys; in a timed-out cell they
+// (and the times) describe the partial run up to the timeout.
 type JSONCell struct {
 	Millis     float64 `json:"millis"`
 	PrepMillis float64 `json:"prep_millis"`
 	MineMillis float64 `json:"mine_millis"`
-	Closed     int     `json:"closed"`
+	// Closed is the number of closed sets the run reported, or -1 if it
+	// timed out (a partial count varies from run to run), as in JSONRow.
+	Closed int `json:"closed"`
 	obs.Counts
 	Allocs   int64 `json:"allocs_per_op"`
 	Bytes    int64 `json:"bytes_per_op"`
@@ -49,11 +52,15 @@ func WriteBenchJSON(dir, id, workload string, algos []string, rows []Row) (strin
 	for _, r := range rows {
 		jr := JSONRow{MinSupport: r.MinSupport, Closed: r.Closed, Cells: make(map[string]JSONCell, len(r.Cells))}
 		for name, c := range r.Cells {
+			closed := c.Closed
+			if c.TimedOut {
+				closed = -1
+			}
 			jr.Cells[name] = JSONCell{
 				Millis:     millis(c.Time),
 				PrepMillis: millis(c.PrepTime),
 				MineMillis: millis(c.MineTime),
-				Closed:     c.Closed,
+				Closed:     closed,
 				Counts:     c.Counts,
 				Allocs:     c.Allocs,
 				Bytes:      c.Bytes,

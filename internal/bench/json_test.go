@@ -90,3 +90,31 @@ func TestBenchJSONKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestBenchJSONTimedOutClosed: a timed-out cell's closed count is the
+// partial run's and varies between runs, so the file carries -1 for it,
+// as it does for a row nothing finished. A finished cell keeps its count.
+func TestBenchJSONTimedOutClosed(t *testing.T) {
+	cells := map[string]Cell{
+		"done": {Closed: 7},
+		"cut":  {Closed: 5, TimedOut: true, Counts: obs.Counts{Ops: 9}},
+	}
+	path, err := WriteBenchJSON(t.TempDir(), "t", "w", []string{"done", "cut"}, []Row{{MinSupport: 1, Closed: 7, Cells: cells}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := rawCells(t, data)[0]
+	if got := written["done"]["closed"]; got != float64(7) {
+		t.Errorf("finished cell: closed = %v, want 7", got)
+	}
+	if got := written["cut"]["closed"]; got != float64(-1) {
+		t.Errorf("timed-out cell: closed = %v, want -1", got)
+	}
+	if got := written["cut"]["ops"]; got != float64(9) {
+		t.Errorf("timed-out cell: ops = %v, want the partial run's 9", got)
+	}
+}

@@ -299,8 +299,8 @@ func (t *Tree) isect(n *node, ins **node) {
 // Fig. 4: a node is reported iff its support reaches the minimum and
 // strictly exceeds the maximum support of its children (otherwise the
 // represented set has a superset with equal support and is not closed).
-// The empty set is never reported. The items slice passed to emit is
-// reused between calls.
+// The empty set is never reported. Each items slice passed to emit is
+// newly allocated and owned by emit, which may keep it without copying.
 //
 // Like the intersection pass, the traversal polls the cancellation probe
 // installed with SetCancel: a report pass over a large tree would
@@ -358,8 +358,9 @@ func (t *Tree) report(list *node, path itemset.Set, minSupport int32, emit func(
 // together with the node's current support value, in the same traversal
 // order as Report but without any frequency or closedness filtering. The
 // parallel merge uses it to enumerate closure candidates, whose supports
-// are then recomputed exactly. The items slice passed to emit is reused
-// between calls. Walk honors the SetCancel probe the same way Report does.
+// are then recomputed exactly. Each items slice passed to emit is newly
+// allocated and owned by emit, which may keep it without copying. Walk
+// honors the SetCancel probe the same way Report does.
 func (t *Tree) Walk(emit func(items itemset.Set, support int)) {
 	path := make(itemset.Set, 0, 32)
 	t.walk(t.children, path, emit)

@@ -106,6 +106,36 @@ func TestWalkEnumeratesEveryNode(t *testing.T) {
 	}
 }
 
+// TestEmittedSlicesAreOwned pins the emit contract of Report and Walk:
+// every items slice is newly allocated, so a caller may keep it without
+// copying (parallel IsTa keeps its shard patterns and merge candidates).
+// The slices kept from one pass must still match a second pass's copies
+// after the traversal; a reused buffer would overwrite the kept ones.
+func TestEmittedSlicesAreOwned(t *testing.T) {
+	rng := rand.New(rand.NewSource(46))
+	tree := NewTree(10)
+	for s := 0; s < 30; s++ {
+		tree.AddWeighted(randSet(rng, 10), 1+rng.Intn(3))
+	}
+	passes := map[string]func(emit func(itemset.Set, int)){
+		"Report": func(emit func(itemset.Set, int)) { tree.Report(2, emit) },
+		"Walk":   func(emit func(itemset.Set, int)) { tree.Walk(emit) },
+	}
+	for name, pass := range passes {
+		var kept, copies []itemset.Set
+		pass(func(s itemset.Set, _ int) { kept = append(kept, s) })
+		pass(func(s itemset.Set, _ int) { copies = append(copies, s.Clone()) })
+		if len(kept) < 2 || len(kept) != len(copies) {
+			t.Fatalf("%s: %d kept sets, %d copies", name, len(kept), len(copies))
+		}
+		for i := range kept {
+			if !kept[i].Equal(copies[i]) {
+				t.Fatalf("%s: kept set %d is %v after the pass, emitted as %v", name, i, kept[i], copies[i])
+			}
+		}
+	}
+}
+
 // TestReportAbortsPromptly is the regression test for the report-abort
 // bug: a cancellation recorded during the report pass must unwind the
 // traversal instead of visiting (and skipping) every remaining node.

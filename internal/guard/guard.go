@@ -49,8 +49,8 @@ type Budget struct {
 	// nodes for IsTa, stored sets for the Carpenter/Cobbler repositories
 	// and the flat cumulative scheme. In a parallel run the cap applies to
 	// each worker's private repository. FP-close and Eclat keep their
-	// CFI-tree outside the budget, and LCM, SaM and Apriori keep no
-	// repository, so none of these is affected. Values <= 0 mean no cap.
+	// CFI-tree outside the budget, and LCM keeps no repository, so none
+	// of these is affected. Values <= 0 mean no cap.
 	MaxTreeNodes int
 }
 

@@ -296,26 +296,3 @@ func Compare(a, b Set) int {
 	}
 	return 0
 }
-
-// CompareLex orders sets purely lexicographically (shorter prefix first).
-func CompareLex(a, b Set) int {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			if a[i] < b[i] {
-				return -1
-			}
-			return 1
-		}
-	}
-	switch {
-	case len(a) < len(b):
-		return -1
-	case len(a) > len(b):
-		return 1
-	}
-	return 0
-}

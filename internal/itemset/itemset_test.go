@@ -197,24 +197,6 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestCompareLex(t *testing.T) {
-	tests := []struct {
-		a, b Set
-		want int
-	}{
-		{FromInts(), FromInts(), 0},
-		{FromInts(), FromInts(1), -1},
-		{FromInts(1), FromInts(1, 2), -1},
-		{FromInts(2), FromInts(1, 2), 1}, // lexicographic, not by size
-		{FromInts(1, 5), FromInts(1, 5), 0},
-	}
-	for _, tc := range tests {
-		if got := CompareLex(tc.a, tc.b); got != tc.want {
-			t.Errorf("CompareLex(%v, %v) = %d, want %d", tc.a, tc.b, got, tc.want)
-		}
-	}
-}
-
 func TestString(t *testing.T) {
 	if got := FromInts(3, 1, 2).String(); got != "{1 2 3}" {
 		t.Errorf("String = %q", got)
@@ -317,82 +299,6 @@ func TestQuickKeyInjective(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBitSetBasics(t *testing.T) {
-	b := NewBitSet(200)
-	if b.Universe() != 200 {
-		t.Fatalf("Universe = %d", b.Universe())
-	}
-	b.Add(0)
-	b.Add(63)
-	b.Add(64)
-	b.Add(199)
-	for _, x := range []Item{0, 63, 64, 199} {
-		if !b.Has(x) {
-			t.Errorf("Has(%d) = false", x)
-		}
-	}
-	if b.Has(1) || b.Has(65) {
-		t.Error("unexpected members")
-	}
-	if b.Count() != 4 {
-		t.Errorf("Count = %d", b.Count())
-	}
-	b.Remove(63)
-	if b.Has(63) || b.Count() != 3 {
-		t.Error("Remove failed")
-	}
-	if got := b.ToSet(); !got.Equal(FromInts(0, 64, 199)) {
-		t.Errorf("ToSet = %v", got)
-	}
-	b.Clear()
-	if b.Count() != 0 {
-		t.Error("Clear failed")
-	}
-}
-
-func TestBitSetSetOps(t *testing.T) {
-	a := NewBitSet(128)
-	b := NewBitSet(128)
-	a.SetAll(FromInts(1, 2, 3, 70))
-	b.SetAll(FromInts(2, 3, 4, 100))
-	a.IntersectWith(b)
-	if got := a.ToSet(); !got.Equal(FromInts(2, 3)) {
-		t.Errorf("IntersectWith = %v", got)
-	}
-	a.UnionWith(b)
-	if got := a.ToSet(); !got.Equal(FromInts(2, 3, 4, 100)) {
-		t.Errorf("UnionWith = %v", got)
-	}
-	if !a.ContainsSet(FromInts(2, 100)) {
-		t.Error("ContainsSet false negative")
-	}
-	if a.ContainsSet(FromInts(2, 99)) {
-		t.Error("ContainsSet false positive")
-	}
-	a.ClearAll(FromInts(2, 3))
-	if got := a.ToSet(); !got.Equal(FromInts(4, 100)) {
-		t.Errorf("ClearAll = %v", got)
-	}
-}
-
-func TestBitSetMatchesSetOps(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 200; trial++ {
-		x := randSet(rng, 130, 30)
-		y := randSet(rng, 130, 30)
-		bx, by := NewBitSet(130), NewBitSet(130)
-		bx.SetAll(x)
-		by.SetAll(y)
-		bx.IntersectWith(by)
-		if !bx.ToSet().Equal(x.Intersect(y)) {
-			t.Fatalf("bitset intersect mismatch: %v %v", x, y)
-		}
-		if got, want := by.ContainsSet(x), x.SubsetOf(y); got != want {
-			t.Fatalf("bitset subset mismatch: %v %v", x, y)
-		}
 	}
 }
 

@@ -51,7 +51,7 @@ func eachCount(c Counts, f func(key string, v int64)) {
 
 // FormatCounts renders every counter as space-separated key=value pairs
 // ("patterns=3 ops=12 ... degraded=0"). It is the one text form of
-// Counts, shared by the text sink, engine.Stats and cmd/fim.
+// Counts, shared by engine.Stats and cmd/fim.
 func FormatCounts(c Counts) string {
 	var b []byte
 	eachCount(c, func(key string, v int64) { b = fmt.Appendf(b, " %s=%d", key, v) })

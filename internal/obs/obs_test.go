@@ -157,24 +157,6 @@ func TestProgressSink(t *testing.T) {
 	}
 }
 
-func TestTextSink(t *testing.T) {
-	var buf bytes.Buffer
-	s := NewTextSink(&buf)
-	s.Span(Span{Phase: PhasePrep, Duration: 3 * time.Millisecond, Counts: Counts{Ops: 9}})
-	s.Progress(Progress{Elapsed: time.Second, Counts: Counts{Patterns: 4}, Final: true})
-	out := buf.String()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("want 2 lines, got %q", out)
-	}
-	if !strings.HasPrefix(lines[0], "span phase=prep ") || !strings.Contains(lines[0], "ops=9") {
-		t.Errorf("span line = %q", lines[0])
-	}
-	if !strings.HasPrefix(lines[1], "progress elapsed=1s ") || !strings.HasSuffix(lines[1], " final") {
-		t.Errorf("progress line = %q", lines[1])
-	}
-}
-
 func TestJSONSink(t *testing.T) {
 	var buf bytes.Buffer
 	s := NewJSONSink(&buf)
@@ -201,7 +183,7 @@ func TestJSONSink(t *testing.T) {
 
 // TestCountsSchema pins the one counter schema. Every Counts field has a
 // distinct snake_case JSON key; with each field set to a distinct value,
-// the accumulator round-trips it, and the JSON lines, the text lines and
+// the accumulator round-trips it, and the JSON lines, the FormatCounts text and
 // the expvar map all carry it under that key. A counter added to Counts
 // cannot be wired into only some of them.
 func TestCountsSchema(t *testing.T) {
@@ -257,21 +239,18 @@ func TestCountsSchema(t *testing.T) {
 		check("JSON line", line, got)
 	}
 
-	buf.Reset()
-	emit(NewTextSink(&buf))
-	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
-		got := map[string]string{}
-		for _, field := range strings.Fields(line) {
-			if k, x, ok := strings.Cut(field, "="); ok {
-				got[k] = x
-			}
+	text := FormatCounts(c)
+	got := map[string]string{}
+	for _, field := range strings.Fields(text) {
+		if k, x, ok := strings.Cut(field, "="); ok {
+			got[k] = x
 		}
-		check("text line", line, got)
 	}
+	check("text", text, got)
 
 	NewExpvarSink("obs_schema_test").Progress(Progress{Counts: c})
 	m := expvar.Get("obs_schema_test").(*expvar.Map)
-	got := map[string]string{}
+	got = map[string]string{}
 	m.Do(func(kv expvar.KeyValue) { got[kv.Key] = kv.Value.String() })
 	check("expvar map", "obs_schema_test", got)
 }
@@ -342,11 +321,11 @@ func TestEmitGauge(t *testing.T) {
 	}
 
 	// A sink without gauge support is skipped without error.
-	EmitGauge(NewTextSink(io.Discard), "serve_shed_total", 1)
+	EmitGauge(NewJSONSink(io.Discard), "serve_shed_total", 1)
 
 	// Multi forwards to every gauge-capable member.
 	var rec2 Recorder
-	m := Multi(NewTextSink(io.Discard), &rec, &rec2)
+	m := Multi(NewJSONSink(io.Discard), &rec, &rec2)
 	EmitGauge(m, "serve_shed_total", 9)
 	if rec.Gauges()["serve_shed_total"] != 9 || rec2.Gauges()["serve_shed_total"] != 9 {
 		t.Errorf("multi did not forward gauges: %v %v", rec.Gauges(), rec2.Gauges())

@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"expvar"
-	"fmt"
 	"io"
 	"sync"
 	"time"
@@ -73,23 +72,17 @@ func (f progressSink) Span(Span)           {}
 func (f progressSink) Progress(p Progress) { f(p) }
 func (f progressSink) Note(Note)           {}
 
-// NewTextSink returns a sink writing one human-readable line per event
-// to w. Write errors are dropped: observability output never fails a
-// run.
-func NewTextSink(w io.Writer) Sink { return &writerSink{w: w} }
-
 // NewJSONSink returns a sink writing one JSON object per event to w
 // ({"event":"span",...} / {"event":"progress",...}; durations in
 // nanoseconds). Write errors are dropped: observability output never
 // fails a run.
-func NewJSONSink(w io.Writer) Sink { return &writerSink{w: w, json: true} }
+func NewJSONSink(w io.Writer) Sink { return &jsonSink{w: w} }
 
-// writerSink serializes event formatting and writing with a mutex so
-// lines from concurrent emitters never interleave.
-type writerSink struct {
-	mu   sync.Mutex
-	w    io.Writer
-	json bool
+// jsonSink serializes writes with a mutex so lines from concurrent
+// emitters never interleave.
+type jsonSink struct {
+	mu sync.Mutex
+	w  io.Writer
 }
 
 // jsonEvent is the wire shape of all event kinds; zero-valued fields of
@@ -107,63 +100,41 @@ type jsonEvent struct {
 	Final bool `json:"final,omitempty"`
 }
 
-func (s *writerSink) Span(sp Span) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.json {
-		s.encode(jsonEvent{
-			Event:    "span",
-			Phase:    sp.Phase,
-			Start:    sp.Start.Format(time.RFC3339Nano),
-			Duration: int64(sp.Duration),
-			Counts:   sp.Counts,
-		})
-		return
-	}
-	fmt.Fprintf(s.w, "span phase=%s dur=%s %s\n",
-		sp.Phase, sp.Duration.Round(time.Microsecond), FormatCounts(sp.Counts))
+func (s *jsonSink) Span(sp Span) {
+	s.encode(jsonEvent{
+		Event:    "span",
+		Phase:    sp.Phase,
+		Start:    sp.Start.Format(time.RFC3339Nano),
+		Duration: int64(sp.Duration),
+		Counts:   sp.Counts,
+	})
 }
 
-func (s *writerSink) Progress(p Progress) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.json {
-		s.encode(jsonEvent{
-			Event:   "progress",
-			Elapsed: int64(p.Elapsed),
-			Counts:  p.Counts,
-			Final:   p.Final,
-		})
-		return
-	}
-	final := ""
-	if p.Final {
-		final = " final"
-	}
-	fmt.Fprintf(s.w, "progress elapsed=%s %s%s\n",
-		p.Elapsed.Round(time.Millisecond), FormatCounts(p.Counts), final)
+func (s *jsonSink) Progress(p Progress) {
+	s.encode(jsonEvent{
+		Event:   "progress",
+		Elapsed: int64(p.Elapsed),
+		Counts:  p.Counts,
+		Final:   p.Final,
+	})
 }
 
-func (s *writerSink) Note(n Note) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.json {
-		s.encode(jsonEvent{
-			Event:  "note",
-			Kind:   n.Kind,
-			Detail: n.Detail,
-			Counts: n.Counts,
-		})
-		return
-	}
-	fmt.Fprintf(s.w, "note kind=%s detail=%q %s\n", n.Kind, n.Detail, FormatCounts(n.Counts))
+func (s *jsonSink) Note(n Note) {
+	s.encode(jsonEvent{
+		Event:  "note",
+		Kind:   n.Kind,
+		Detail: n.Detail,
+		Counts: n.Counts,
+	})
 }
 
-func (s *writerSink) encode(e jsonEvent) {
+func (s *jsonSink) encode(e jsonEvent) {
 	b, err := json.Marshal(e)
 	if err != nil {
 		return
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.w.Write(append(b, '\n'))
 }
 

@@ -530,6 +530,3 @@ func (d *Durable) Closed(minSupport int, rep result.Reporter) {
 func (d *Durable) ClosedSet(minSupport int) *result.Set {
 	return d.m.ClosedSet(minSupport)
 }
-
-// Miner exposes the underlying in-memory miner (read-only use).
-func (d *Durable) Miner() *core.Incremental { return d.m }

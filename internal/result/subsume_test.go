@@ -2,6 +2,7 @@ package result
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -54,10 +55,10 @@ func TestCFITreeLargeUniverse(t *testing.T) {
 	}{
 		{"random", func(e []cfiEntry) { rng.Shuffle(len(e), func(i, j int) { e[i], e[j] = e[j], e[i] }) }},
 		{"ascending", func(e []cfiEntry) {
-			sort.SliceStable(e, func(i, j int) bool { return itemset.CompareLex(e[i].s, e[j].s) < 0 })
+			sort.SliceStable(e, func(i, j int) bool { return slices.Compare(e[i].s, e[j].s) < 0 })
 		}},
 		{"descending", func(e []cfiEntry) {
-			sort.SliceStable(e, func(i, j int) bool { return itemset.CompareLex(e[i].s, e[j].s) > 0 })
+			sort.SliceStable(e, func(i, j int) bool { return slices.Compare(e[i].s, e[j].s) > 0 })
 		}},
 	}
 	for _, o := range orders {

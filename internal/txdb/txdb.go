@@ -16,8 +16,9 @@
 // the zero-copy sharing safe across goroutines: concurrent readers need no
 // locks because there are no writers. The derived views (item frequencies,
 // the vertical tid-list view) are built lazily on first use under a
-// sync.Once, so miners that never ask for them (IsTa, SaM, FP-growth) pay
-// nothing, while Eclat-family miners get them exactly once per DB.
+// sync.Once, so miners that never ask for the vertical view (IsTa,
+// FP-growth, LCM) pay nothing for it, while Eclat-family miners get it
+// exactly once per DB.
 //
 // txdb sits at the bottom of the package DAG: it depends on nothing above
 // internal/itemset and internal/tidset (enforced by the repository's

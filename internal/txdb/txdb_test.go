@@ -341,19 +341,6 @@ func TestVerticalAndTidsWeight(t *testing.T) {
 	}
 }
 
-func TestSuffixWeight(t *testing.T) {
-	db := buildRandom(rand.New(rand.NewSource(8)), 8, 25, 0.4, true)
-	for k := 0; k <= db.NumTx(); k++ {
-		want := 0
-		for j := k; j < db.NumTx(); j++ {
-			want += db.Weight(j)
-		}
-		if got := db.SuffixWeight(k); got != want {
-			t.Fatalf("SuffixWeight(%d) = %d, want %d", k, got, want)
-		}
-	}
-}
-
 func TestTransposeRoundTrip(t *testing.T) {
 	// Transpose keeps empty rows, so transposing twice restores the
 	// database exactly: universe and every row.

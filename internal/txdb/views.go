@@ -91,20 +91,6 @@ func (db *DB) TidsWeight(tids []int32) int {
 	return w
 }
 
-// SuffixWeight returns the total weight of rows k..NumTx()-1 — the
-// weighted generalization of "transactions from k on", which Carpenter's
-// suffix pruning bound needs.
-func (db *DB) SuffixWeight(k int) int {
-	if db.weights == nil {
-		return db.NumTx() - k
-	}
-	w := 0
-	for _, x := range db.weights[k:] {
-		w += int(x)
-	}
-	return w
-}
-
 // Matrix is the table representation of §3.1.2 (Table 1 of the paper):
 //
 //	M[k][i] = weight of { j : k ≤ j < n, i ∈ t_j }  if i ∈ t_k,

@@ -10,22 +10,117 @@ import (
 	"testing"
 )
 
-// algorithmPackages are the import paths only the engine layer (and the
-// bench harness, for its ablation MineFuncs) may depend on. The public API and
-// the command line tools go through the engine registry instead, so that
+// algorithmPackages returns the import paths of the algorithm packages:
+// every internal/*/ package whose non-test code calls engine.Register or
+// engine.RegisterParallel. Only the engine layer (and the bench harness,
+// for its ablation MineFuncs) may depend on them. The public API and the
+// command line tools go through the engine registry instead, so that
 // adding or removing a miner never touches them; register.go is the one
-// sanctioned linking point (blank imports only).
-var algorithmPackages = map[string]bool{
-	"repro/internal/apriori":   true,
-	"repro/internal/carpenter": true,
-	"repro/internal/cobbler":   true,
-	"repro/internal/core":      true,
-	"repro/internal/eclat":     true,
-	"repro/internal/fpgrowth":  true,
-	"repro/internal/lcm":       true,
-	"repro/internal/naive":     true,
-	"repro/internal/parallel":  true,
-	"repro/internal/sam":       true,
+// sanctioned linking point (blank imports only). The set is derived, not
+// listed, so a new or deleted engine package changes it by itself.
+func algorithmPackages(t *testing.T) map[string]bool {
+	t.Helper()
+	dirs, err := filepath.Glob(filepath.Join("internal", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	pkgs := map[string]bool{}
+	for _, dir := range dirs {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			continue // not a directory
+		}
+		for _, e := range entries {
+			name := e.Name()
+			if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			path := filepath.Join(dir, name)
+			f, err := parser.ParseFile(fset, path, nil, 0)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			eng := ""
+			for _, imp := range f.Imports {
+				if strings.Trim(imp.Path.Value, `"`) == "repro/internal/engine" {
+					eng = "engine"
+					if imp.Name != nil {
+						eng = imp.Name.Name
+					}
+				}
+			}
+			if eng == "" {
+				continue
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				sel, ok := call.Fun.(*ast.SelectorExpr)
+				if !ok || (sel.Sel.Name != "Register" && sel.Sel.Name != "RegisterParallel") {
+					return true
+				}
+				if x, ok := sel.X.(*ast.Ident); ok && x.Name == eng {
+					pkgs["repro/"+filepath.ToSlash(dir)] = true
+				}
+				return true
+			})
+		}
+	}
+	if !pkgs["repro/internal/core"] {
+		t.Fatalf("lint derived algorithm packages %v without internal/core — wrong working directory?", pkgs)
+	}
+	return pkgs
+}
+
+// TestEveryMinerLinked enforces that every engine package is linked where
+// miners are looked up by name: register.go (the public API and the
+// command line tools) blank-imports exactly the algorithm packages and
+// nothing else, and the bench harness imports each of them. A package
+// missing from either would register nowhere there, and its name would
+// be unknown to fim.Mine or fimbench.
+func TestEveryMinerLinked(t *testing.T) {
+	pkgs := algorithmPackages(t)
+	// imports maps each import path of the file to its import name ("" if
+	// unnamed).
+	imports := func(path string) map[string]string {
+		t.Helper()
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		out := map[string]string{}
+		for _, imp := range f.Imports {
+			name := ""
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			out[strings.Trim(imp.Path.Value, `"`)] = name
+		}
+		return out
+	}
+	linked := imports("register.go")
+	for ip := range pkgs {
+		if _, ok := linked[ip]; !ok {
+			t.Errorf("register.go does not link engine package %s", ip)
+		}
+	}
+	for ip, name := range linked {
+		if !pkgs[ip] {
+			t.Errorf("register.go links %s, which registers no engine", ip)
+		}
+		if name != "_" {
+			t.Errorf("register.go imports %s without a blank name; it only links miners", ip)
+		}
+	}
+	bench := imports(filepath.Join("internal", "bench", "bench.go"))
+	for ip := range pkgs {
+		if _, ok := bench[ip]; !ok {
+			t.Errorf("internal/bench/bench.go does not import engine package %s", ip)
+		}
+	}
 }
 
 // TestNoDirectAlgorithmImports enforces the registry architecture:
@@ -50,6 +145,7 @@ func TestNoDirectAlgorithmImports(t *testing.T) {
 	if len(files) < 2 {
 		t.Fatal("lint found no cmd/ sources — wrong working directory?")
 	}
+	pkgs := algorithmPackages(t)
 	fset := token.NewFileSet()
 	for _, path := range files {
 		f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
@@ -58,7 +154,7 @@ func TestNoDirectAlgorithmImports(t *testing.T) {
 		}
 		for _, imp := range f.Imports {
 			ip := strings.Trim(imp.Path.Value, `"`)
-			if algorithmPackages[ip] {
+			if pkgs[ip] {
 				t.Errorf("%s imports %s directly; dispatch through the engine registry instead", path, ip)
 			}
 		}
@@ -82,7 +178,7 @@ func TestOneDispatchPath(t *testing.T) {
 		return ok && x.Name == pkg && sel.Sel.Name == name
 	}
 	fset := token.NewFileSet()
-	for pkg := range algorithmPackages {
+	for pkg := range algorithmPackages(t) {
 		dir := filepath.Join("internal", filepath.Base(pkg))
 		entries, err := os.ReadDir(dir)
 		if err != nil {
@@ -249,7 +345,7 @@ func TestTxdbLayering(t *testing.T) {
 		},
 		"the dataset codec may only use internal/itemset and internal/txdb")
 
-	for pkg := range algorithmPackages {
+	for pkg := range algorithmPackages(t) {
 		dir := filepath.Join("internal", filepath.Base(pkg))
 		checkImports(dir,
 			func(ip string) bool { return ip != "repro/internal/dataset" },

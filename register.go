@@ -3,10 +3,10 @@ package fim
 // Link the built-in algorithm packages: each registers itself with the
 // engine from its init function, and internal/parallel attaches the
 // parallel engines. Adding a miner to the public API, the command line
-// tool, the bench harness, and the conformance suite is one new package
-// plus one blank import here.
+// tool and the conformance suite is one new package plus one blank import
+// here; internal/bench/bench.go imports the same set for the bench
+// harness, and TestEveryMinerLinked checks both lists.
 import (
-	_ "repro/internal/apriori"
 	_ "repro/internal/carpenter"
 	_ "repro/internal/cobbler"
 	_ "repro/internal/core"
@@ -15,5 +15,4 @@ import (
 	_ "repro/internal/lcm"
 	_ "repro/internal/naive"
 	_ "repro/internal/parallel"
-	_ "repro/internal/sam"
 )
