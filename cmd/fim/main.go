@@ -44,7 +44,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -276,9 +275,11 @@ func main() {
 	}
 	elapsed := time.Since(start)
 
-	// The result is only complete once the output is flushed and closed;
+	// The result is only complete once the output is written and closed;
 	// both can fail (full disk, quota), so both are checked — a close
-	// error with the bytes already gone must not exit 0.
+	// error with the bytes already gone must not exit 0. Write hands its
+	// writer pieces of about 64 KiB, so neither stdout nor the file needs
+	// a buffer of its own.
 	w := io.Writer(os.Stdout)
 	var closeOut func() error
 	if *out != "" {
@@ -286,15 +287,8 @@ func main() {
 		if cerr != nil {
 			fail(cerr)
 		}
-		bw := bufio.NewWriter(f)
-		w = bw
-		closeOut = func() error {
-			if err := bw.Flush(); err != nil {
-				f.Close()
-				return err
-			}
-			return f.Close()
-		}
+		w = f
+		closeOut = f.Close
 	}
 	if werr := patterns.Write(w, names); werr != nil {
 		if closeOut != nil {

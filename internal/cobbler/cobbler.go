@@ -168,7 +168,7 @@ func (m *miner) mine(depth int, prefix itemset.Set, exts []ext) error {
 		cand = append(cand, prefix...)
 		cand = append(cand, e.item)
 		cand = append(cand, perfect...)
-		canon := itemset.New(cand...)
+		canon := itemset.Canonicalize(cand)
 		if m.cfi.Subsumed(canon, supp) {
 			continue
 		}

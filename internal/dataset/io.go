@@ -238,19 +238,9 @@ func Write(w io.Writer, src txdb.Source) error {
 	bw := bufio.NewWriter(w)
 	var buf []byte
 	for k, n := 0, src.NumTx(); k < n; k++ {
-		buf = buf[:0]
-		for i, it := range src.Tx(k) {
-			if i > 0 {
-				buf = append(buf, ' ')
-			}
-			if names == nil {
-				buf = strconv.AppendInt(buf, int64(it), 10)
-				continue
-			}
-			if it < 0 || int(it) >= len(names) {
-				return fmt.Errorf("dataset: transaction %d holds item code %d outside the name table (%d names)", k, it, len(names))
-			}
-			buf = append(buf, names[it]...)
+		var err error
+		if buf, err = itemset.AppendText(buf[:0], src.Tx(k), names); err != nil {
+			return fmt.Errorf("dataset: transaction %d holds %w", k, err)
 		}
 		if names != nil && len(buf) > 0 && buf[0] == '#' {
 			return fmt.Errorf("dataset: transaction %d starts with name %q, which would read back as a comment", k, names[src.Tx(k)[0]])

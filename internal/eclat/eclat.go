@@ -156,7 +156,7 @@ func (m *eclatMiner) mine(depth int, prefix itemset.Set, exts []ext) error {
 			cand = append(cand, prefix...)
 			cand = append(cand, e.item)
 			cand = append(cand, perfect...)
-			canon := itemset.New(cand...)
+			canon := itemset.Canonicalize(cand)
 			if m.cfi.Subsumed(canon, supp) {
 				// A previously found closed superset with equal support
 				// exists; this branch cannot contain closed sets.
@@ -165,7 +165,7 @@ func (m *eclatMiner) mine(depth int, prefix itemset.Set, exts []ext) error {
 			m.cfi.Insert(canon, supp)
 			m.emit(canon, supp)
 			if len(next) > 0 {
-				if err := m.mine(depth+1, canon.Clone(), next); err != nil {
+				if err := m.mine(depth+1, canon, next); err != nil {
 					return err
 				}
 			}

@@ -147,7 +147,7 @@ func (m *fpMiner) mine(tree *fpTree, prefix itemset.Set) error {
 			for _, j := range perfect {
 				cand = append(cand, itemset.Item(j))
 			}
-			canon := itemset.New(cand...)
+			canon := itemset.Canonicalize(cand)
 			if m.cfi.Subsumed(canon, int(supp)) {
 				// A previously reported closed superset with equal
 				// support exists; neither this candidate nor anything in

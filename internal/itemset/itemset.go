@@ -9,7 +9,8 @@ package itemset
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
 
@@ -27,8 +28,7 @@ type Set []Item
 func New(items ...Item) Set {
 	s := make(Set, len(items))
 	copy(s, items)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return dedupSorted(s)
+	return Canonicalize(s)
 }
 
 // FromInts is a convenience constructor used heavily in tests.
@@ -37,11 +37,14 @@ func FromInts(items ...int) Set {
 	for i, v := range items {
 		s[i] = Item(v)
 	}
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return dedupSorted(s)
+	return Canonicalize(s)
 }
 
-func dedupSorted(s Set) Set {
+// Canonicalize sorts and deduplicates s in place and returns the
+// canonical prefix. Miners use it on a candidate they built themselves,
+// where New would copy it first.
+func Canonicalize(s Set) Set {
+	slices.Sort(s)
 	if len(s) < 2 {
 		return s
 	}
@@ -264,16 +267,30 @@ func ParseKey(k string) Set {
 
 // String renders the set like "{1 4 7}".
 func (s Set) String() string {
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, x := range s {
+	b, _ := AppendText([]byte{'{'}, s, nil)
+	return string(append(b, '}'))
+}
+
+// AppendText appends s to dst as one FIMI text row without its line
+// end: the items separated by single spaces, each written as its decimal
+// code when names is nil and as names[code] otherwise. It is the one
+// encoder behind dataset.Write and result.Set.Write. A code outside names
+// is an error; dst is then returned as far as it got.
+func AppendText(dst []byte, s Set, names []string) ([]byte, error) {
+	for i, it := range s {
 		if i > 0 {
-			b.WriteByte(' ')
+			dst = append(dst, ' ')
 		}
-		fmt.Fprintf(&b, "%d", x)
+		if names == nil {
+			dst = strconv.AppendInt(dst, int64(it), 10)
+			continue
+		}
+		if it < 0 || int(it) >= len(names) {
+			return dst, fmt.Errorf("item code %d outside the name table (%d names)", it, len(names))
+		}
+		dst = append(dst, names[it]...)
 	}
-	b.WriteByte('}')
-	return b.String()
+	return dst, nil
 }
 
 // Compare orders sets first by length, then lexicographically. It gives the

@@ -307,6 +307,6 @@ func (p *Prepared) DecodeSet(s itemset.Set) itemset.Set {
 	for i, c := range s {
 		out[i] = p.Decode[c]
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }

@@ -160,6 +160,21 @@ func TestDecodeSetRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeSetAllocs: DecodeSet allocates its result and nothing else.
+// Miners call it once per reported pattern; a reflection-based sort there
+// (sort.Slice's closure and swapper) costs two more allocations a call.
+func TestDecodeSetAllocs(t *testing.T) {
+	p := Prepare(randDB(rand.New(rand.NewSource(3)), 40, 200, 0.3), 2, Config{Items: OrderAscFreq, Trans: OrderOriginal})
+	all := make(itemset.Set, len(p.Decode))
+	for i := range all {
+		all[i] = itemset.Item(i)
+	}
+	allocs := testing.AllocsPerRun(100, func() { p.DecodeSet(all) })
+	if allocs != 1 {
+		t.Fatalf("DecodeSet of %d items allocated %.0f times, want 1", len(all), allocs)
+	}
+}
+
 func TestPrepareMinSupportBelowOne(t *testing.T) {
 	db := paperDB()
 	a := Prepare(db, 0, Config{Items: OrderKeep, Trans: OrderOriginal})

@@ -5,9 +5,11 @@
 package result
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/itemset"
@@ -73,12 +75,11 @@ func (s *Set) Sort() {
 	if s.sorted {
 		return
 	}
-	sort.Slice(s.Patterns, func(i, j int) bool {
-		c := itemset.Compare(s.Patterns[i].Items, s.Patterns[j].Items)
-		if c != 0 {
-			return c < 0
+	slices.SortFunc(s.Patterns, func(a, b Pattern) int {
+		if c := itemset.Compare(a.Items, b.Items); c != 0 {
+			return c
 		}
-		return s.Patterns[i].Support < s.Patterns[j].Support
+		return cmp.Compare(a.Support, b.Support)
 	})
 	s.sorted = true
 }
@@ -142,28 +143,40 @@ func (s *Set) Diff(t *Set, max int) string {
 	return b.String()
 }
 
+// writeChunk is the size of the pieces Write hands to its writer.
+const writeChunk = 64 << 10
+
 // Write renders the set in Borgelt's output format: items separated by
-// spaces, the support appended in parentheses.
+// spaces, the support appended in parentheses, one pattern per line in
+// canonical order. Items are written as names[code] when names is
+// non-nil; a code outside names is an error. The text is built in one
+// buffer and passed to w in pieces of about 64 KiB, so an unbuffered w
+// (a terminal, a pipe) sees a few large writes, not one per pattern.
 func (s *Set) Write(w io.Writer, names []string) error {
 	s.Sort()
+	// The slack holds the line that crosses writeChunk, so the buffer
+	// grows only for a line longer than 4 KiB.
+	buf := make([]byte, 0, writeChunk+4<<10)
 	for _, p := range s.Patterns {
-		var b strings.Builder
-		for i, it := range p.Items {
-			if i > 0 {
-				b.WriteByte(' ')
-			}
-			if names != nil {
-				b.WriteString(names[it])
-			} else {
-				fmt.Fprintf(&b, "%d", it)
-			}
+		var err error
+		if buf, err = itemset.AppendText(buf, p.Items, names); err != nil {
+			return fmt.Errorf("result: pattern %s: %w", p.Items, err)
 		}
-		fmt.Fprintf(&b, " (%d)\n", p.Support)
-		if _, err := io.WriteString(w, b.String()); err != nil {
-			return err
+		buf = append(buf, " ("...)
+		buf = strconv.AppendInt(buf, int64(p.Support), 10)
+		buf = append(buf, ")\n"...)
+		if len(buf) >= writeChunk {
+			if _, err := w.Write(buf); err != nil {
+				return err
+			}
+			buf = buf[:0]
 		}
 	}
-	return nil
+	if len(buf) == 0 {
+		return nil
+	}
+	_, err := w.Write(buf)
+	return err
 }
 
 // Support computes the absolute (weighted) support of items in db.
