@@ -80,7 +80,7 @@ func TestChaosConformance(t *testing.T) {
 					MinSupport:  minsup,
 					Algorithm:   c.algo,
 					Parallelism: c.par,
-					Retry:       RetryPolicy{MaxAttempts: 3, Seed: seed},
+					Retries:     3,
 					Stats:       &st,
 				}, out.Collect())
 				out.Sort()
@@ -128,8 +128,8 @@ func TestChaosConformance(t *testing.T) {
 }
 
 // isChaosAbort reports whether err is one of the documented typed aborts
-// a chaos schedule can cause: a contained panic, the injected transient
-// error surfacing where no supervisor covers it, or a latched stop.
+// a chaos schedule can cause: a contained panic, the injected tick error
+// (which no supervisor retries), or a latched stop.
 func isChaosAbort(err error) bool {
 	var pe *PanicError
 	return errors.As(err, &pe) ||

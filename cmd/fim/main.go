@@ -38,7 +38,7 @@
 //	4  corrupt persistent state in -snapshot-dir — recovery refused
 //	   rather than silently dropping durable transactions
 //	5  degraded result — with -retries, one or more parallel shards
-//	   stayed failed after retry exhaustion; the output holds the
+//	   kept panicking through every retry; the output holds the
 //	   surviving shards' patterns (each genuinely closed, support a
 //	   lower bound) and the abandoned shards are reported to stderr
 package main
@@ -102,7 +102,7 @@ func main() {
 		maxPat  = flag.Int("max-patterns", 0, "stop after this many patterns (0 = unlimited); the truncated output is written and fim exits 3")
 		maxNode = flag.Int("max-nodes", 0, "cap the miner's repository (prefix-tree nodes / stored sets, 0 = unlimited); on excess fim writes the prefix found so far and exits 3")
 		par     = flag.Int("p", 0, "parallel workers for the algorithms with a parallel engine (0 or 1 = sequential, -1 = all cores); the pattern set is identical to the sequential run")
-		retries = flag.Int("retries", 0, "self-healing: retry a failed parallel shard (or transient durable-store I/O) up to n times before degrading; a run that still lost shards writes the surviving patterns and exits 5")
+		retries = flag.Int("retries", 0, "self-healing: re-mine a parallel shard that panicked up to n times before degrading; a run that still lost shards writes the surviving patterns and exits 5")
 		repair  = flag.Bool("repair", false, "with -snapshot-dir: quarantine damaged newer snapshot generations that recovery had to skip (renamed aside, reported to stderr) instead of leaving them in place")
 
 		progress  = flag.Bool("progress", false, "print rate-limited progress snapshots to stderr while mining")
@@ -161,8 +161,8 @@ func main() {
 		if name != fim.IsTa {
 			failUsage(fmt.Errorf("-snapshot-dir requires the ista algorithm, not %q", name))
 		}
-		if *par != 0 || *timeout != 0 || *maxPat != 0 || *maxNode != 0 {
-			failUsage(errors.New("-snapshot-dir cannot be combined with -p, -timeout, -max-patterns or -max-nodes"))
+		if *par != 0 || *timeout != 0 || *maxPat != 0 || *maxNode != 0 || *retries != 0 {
+			failUsage(errors.New("-snapshot-dir cannot be combined with -p, -timeout, -max-patterns, -max-nodes or -retries"))
 		}
 	} else if *resume {
 		failUsage(errors.New("-resume requires -snapshot-dir"))
@@ -233,7 +233,7 @@ func main() {
 		MaxPatterns:  *maxPat,
 		MaxTreeNodes: *maxNode,
 		Context:      ctx,
-		Retry:        fim.RetryPolicy{MaxAttempts: *retries},
+		Retries:      *retries,
 	}
 	if *timeout > 0 {
 		opts.Deadline = time.Now().Add(*timeout)
@@ -252,7 +252,7 @@ func main() {
 	truncated := false
 	var partial *fim.PartialError
 	if *snapDir != "" {
-		patterns, truncated = mineDurable(ctx, db, minsup, *snapDir, *snapEvery, *retries, *resume, *repair, *progress, &runStats)
+		patterns, truncated = mineDurable(ctx, db, minsup, *snapDir, *snapEvery, *resume, *repair, *progress, &runStats)
 		if truncated {
 			err = fim.ErrCanceled
 		}
@@ -336,13 +336,12 @@ func printProgress(p fim.ProgressEvent) {
 // transactions, snapshots the durable prefix and returns it with
 // truncated set — every transaction fed so far stays durable, and a
 // -resume rerun continues exactly where the interrupt landed.
-func mineDurable(ctx context.Context, db fim.Source, minsup int, dir string, every, retries int, resume, repair, progress bool, st *fim.MiningStats) (_ *fim.ResultSet, truncated bool) {
+func mineDurable(ctx context.Context, db fim.Source, minsup int, dir string, every int, resume, repair, progress bool, st *fim.MiningStats) (_ *fim.ResultSet, truncated bool) {
 	start := time.Now()
 	n := db.NumTx()
 	dm, err := fim.OpenDurable(dir, fim.DurableOptions{
 		Items:         db.NumItems(),
 		SnapshotEvery: every,
-		Retry:         fim.RetryPolicy{MaxAttempts: retries},
 		Repair:        repair,
 	})
 	if err != nil {
@@ -378,7 +377,7 @@ func mineDurable(ctx context.Context, db fim.Source, minsup int, dir string, eve
 			lastProgress = time.Now()
 			fmt.Fprintf(os.Stderr, "fim: progress elapsed=%s added=%d/%d %s\n",
 				time.Since(start).Round(time.Millisecond), k+1, n,
-				obs.FormatCounts(obs.Counts{NodesPeak: int64(dm.NodeCount()), Retries: int64(dm.Retries())}))
+				obs.FormatCounts(obs.Counts{NodesPeak: int64(dm.NodeCount())}))
 		}
 	}
 	// Leave a snapshot at the final (or interrupted) state so the next
@@ -398,7 +397,6 @@ func mineDurable(ctx context.Context, db fim.Source, minsup int, dir string, eve
 		Counts: obs.Counts{
 			Patterns:  int64(patterns.Len()),
 			NodesPeak: int64(dm.NodeCount()),
-			Retries:   int64(dm.Retries()),
 		},
 		MineTime:  time.Since(start),
 		Replayed:  done,

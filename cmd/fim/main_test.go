@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -169,7 +170,8 @@ func TestDebugAddr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stdout, stderr bytes.Buffer
+	var stdout bytes.Buffer
+	var stderr lockedBuffer
 	cmd.Stdout = &stdout
 	cmd.Stderr = &stderr
 	if err := cmd.Start(); err != nil {
@@ -209,9 +211,28 @@ func TestDebugAddr(t *testing.T) {
 	// produced patterns — rely on stdout above for that.
 }
 
+// lockedBuffer collects a child's stderr safely while the process is
+// still writing it: exec.Cmd copies the output on its own goroutine.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 // waitForAddr polls stderr for the debug server's listen line and
 // returns the host:port.
-func waitForAddr(t *testing.T, stderr *bytes.Buffer) string {
+func waitForAddr(t *testing.T, stderr *lockedBuffer) string {
 	t.Helper()
 	re := regexp.MustCompile(`listening on http://([^/]+)/debug/vars`)
 	deadline := time.Now().Add(10 * time.Second)
@@ -387,5 +408,28 @@ func TestInputLimitsExitTwo(t *testing.T) {
 	}
 	if !strings.Contains(stdout, "0 1") {
 		t.Errorf("at-limit output %q misses the expected pattern", stdout)
+	}
+}
+
+// TestSnapshotDirRejectsRetries pins the usage check: the durable path
+// has no parallel shards to re-mine, so -retries with -snapshot-dir is a
+// bad flag combination (exit 2), like -p.
+func TestSnapshotDirRejectsRetries(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds binaries")
+	}
+	dir := t.TempDir()
+	fimBin := buildTool(t, dir, "fim")
+	db := writeDataset(t, dir)
+	snap := filepath.Join(dir, "snap")
+	_, stderr, code := run(t, fimBin, nil, "-support", "2", "-snapshot-dir", snap, "-retries", "2", db)
+	if code != 2 {
+		t.Fatalf("-retries with -snapshot-dir: exit %d, want 2 (stderr %q)", code, stderr)
+	}
+	if !strings.Contains(stderr, "-retries") {
+		t.Errorf("stderr %q does not name -retries", stderr)
+	}
+	if _, err := os.Stat(snap); !os.IsNotExist(err) {
+		t.Errorf("rejected run touched %s (stat err %v)", snap, err)
 	}
 }

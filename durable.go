@@ -16,9 +16,8 @@ import (
 var ErrCorrupt = persist.ErrCorrupt
 
 // RepairReport summarizes what OpenDurable's recovery healed, skipped or
-// quarantined, plus the transient I/O retries the handle has performed
-// since. Inspect it through DurableMiner.RepairReport after an open that
-// had to fall back past damaged generations.
+// quarantined. Inspect it through DurableMiner.RepairReport after an
+// open that had to fall back past damaged generations.
 type RepairReport = persist.RepairReport
 
 // QuarantineSuffix is appended to the file name of a snapshot that
@@ -46,13 +45,6 @@ type DurableOptions struct {
 	// every log rotation, each with its duration and the prefix-tree node
 	// count (see DESIGN.md §5e for the schema). Nil costs nothing.
 	TraceWriter io.Writer
-	// Retry, when enabled, re-attempts transient snapshot-write and
-	// log-rotation I/O failures with jittered backoff before giving up.
-	// WAL appends are never retried (a partial append would tear the log
-	// framing) and fsync failures are always fail-stop regardless of the
-	// policy (the kernel page cache is in an unknown state after a failed
-	// fsync). The zero value keeps every I/O failure fail-stop.
-	Retry RetryPolicy
 	// Repair, when set, lets a successful recovery quarantine the damaged
 	// newer snapshot generations it had to skip: each is renamed aside
 	// with QuarantineSuffix and listed in the RepairReport. When recovery
@@ -84,7 +76,6 @@ func OpenDurable(dir string, opts DurableOptions) (*DurableMiner, error) {
 		SnapshotEvery: opts.SnapshotEvery,
 		SyncEvery:     opts.SyncEvery,
 		Obs:           sink,
-		Retry:         opts.Retry,
 		Repair:        opts.Repair,
 	})
 	if err != nil {
@@ -127,12 +118,8 @@ func (m *DurableMiner) NodeCount() int { return m.d.NodeCount() }
 func (m *DurableMiner) Snapshots() int { return m.d.Snapshots() }
 
 // RepairReport returns what recovery healed, skipped or quarantined on
-// open, plus the transient I/O retries performed since.
+// open.
 func (m *DurableMiner) RepairReport() RepairReport { return m.d.RepairReport() }
-
-// Retries returns the number of transient I/O failures healed by
-// DurableOptions.Retry over the handle's lifetime (including recovery).
-func (m *DurableMiner) Retries() int { return m.d.Retries() }
 
 // Closed reports the closed item sets of the transactions added so far
 // whose support reaches minSupport. Queries stay available even after a

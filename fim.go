@@ -37,7 +37,6 @@ import (
 	"repro/internal/mining"
 	"repro/internal/obs"
 	"repro/internal/result"
-	"repro/internal/retry"
 	"repro/internal/rules"
 	"repro/internal/txdb"
 )
@@ -185,13 +184,6 @@ var (
 // goroutine's stack are carried in the error. Match with errors.As.
 type PanicError = guard.PanicError
 
-// RetryPolicy configures the self-healing supervisor: how many times a
-// failed work unit (a parallel shard, a durable-store I/O step) is
-// re-attempted and with what backoff. The zero value disables retries —
-// the first failure is final, today's fail-stop behavior. See DESIGN.md
-// §5f for the self-healing model.
-type RetryPolicy = retry.Policy
-
 // ErrPartial is wrapped by every degraded-mode result: a parallel run
 // whose failed shards exhausted their retry budget returns a
 // *PartialError (which wraps ErrPartial) while the patterns already
@@ -250,15 +242,15 @@ type Options struct {
 	// cap is exceeded. FP-close and Eclat keep their CFI-tree outside the
 	// budget, and LCM keeps no repository; all three ignore the field.
 	MaxTreeNodes int
-	// Retry, when enabled (MaxAttempts > 0), arms the self-healing
-	// supervisor in the parallel engines: a failed shard or branch worker
-	// is re-mined sequentially up to MaxAttempts times with jittered
-	// exponential backoff, and only when every attempt fails does the run
-	// degrade to a *PartialError carrying the per-shard report. The zero
-	// value keeps the fail-stop behavior (first worker failure aborts the
-	// run). Sequential engines ignore the field — they have no independent
-	// work units to re-mine. See DESIGN.md §5f.
-	Retry RetryPolicy
+	// Retries, when positive, arms the self-healing supervisor in the
+	// parallel engines: a shard or branch worker that panicked is re-mined
+	// sequentially up to Retries times, and only when every attempt
+	// panics does the run degrade to a *PartialError carrying the
+	// per-shard report. Any other worker error aborts the run, as does
+	// every failure with zero Retries. Sequential engines ignore the
+	// field — they have no independent work units to re-mine. See
+	// DESIGN.md §5f.
+	Retries int
 	// Parallelism selects the number of worker goroutines for the
 	// algorithms with a parallel engine (IsTa and CarpenterTable): 0 or 1
 	// run the sequential miner unchanged, n >= 2 runs n workers, and
@@ -396,7 +388,7 @@ func mine(db Source, opts Options, g *guard.Guard, done <-chan struct{}, rep Rep
 		Stats:         opts.Stats,
 		Sink:          sinkOf(opts),
 		ProgressEvery: opts.ProgressInterval,
-		Retry:         opts.Retry,
+		Retries:       opts.Retries,
 	}, rep)
 }
 

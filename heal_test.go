@@ -42,7 +42,7 @@ func TestHealShardFallback(t *testing.T) {
 				MinSupport:  minsup,
 				Algorithm:   algo,
 				Parallelism: 4,
-				Retry:       RetryPolicy{MaxAttempts: 2},
+				Retries:     2,
 				Stats:       &st,
 			}, out.Collect())
 			if err != nil {
@@ -85,7 +85,7 @@ func TestHealExhaustedPartial(t *testing.T) {
 		err := Mine(db, Options{
 			MinSupport:  minsup,
 			Parallelism: workers,
-			Retry:       RetryPolicy{MaxAttempts: 2},
+			Retries:     2,
 			Stats:       &st,
 		}, out.Collect())
 		assertAllShardsDegraded(t, err, &st, workers)
@@ -94,12 +94,12 @@ func TestHealExhaustedPartial(t *testing.T) {
 		}
 	})
 
-	t.Run("carpenter-transient-err", func(t *testing.T) {
+	t.Run("carpenter-tick-panic", func(t *testing.T) {
 		defer faultinject.LeakCheck(t)()
-		// From tick 400 on every cooperative check fails with a transient
-		// error: late enough that prep and the engine's entry tick pass,
-		// early enough that every branch worker (and every retry) hits it.
-		restore := faultinject.TransientErrAtTick(400)
+		// From tick 400 on every cooperative check panics: late enough
+		// that prep and the engine's entry tick pass, early enough that
+		// every branch worker (and every retry) hits it.
+		restore := faultinject.PanicAtTick(400)
 		defer restore()
 
 		var st MiningStats
@@ -108,17 +108,46 @@ func TestHealExhaustedPartial(t *testing.T) {
 			MinSupport:  minsup,
 			Algorithm:   CarpenterTable,
 			Parallelism: workers,
-			Retry:       RetryPolicy{MaxAttempts: 2},
+			Retries:     2,
 			Stats:       &st,
 		}, out.Collect())
-		if errors.Is(err, faultinject.ErrChaos) && !errors.Is(err, ErrPartial) {
-			// The injected failure may fire before the workers start (the
-			// engine's own entry tick); then the run aborts fail-stop,
-			// which is the documented non-degradable outcome.
-			return
-		}
 		assertAllShardsDegraded(t, err, &st, workers)
 	})
+}
+
+// TestHealErrorAborts pins the other side of the ladder: only contained
+// panics are re-mined. A worker that returns an ordinary error fails the
+// same way on every attempt, so the run aborts with that error at once —
+// no retry, no degradation — even with retries enabled.
+func TestHealErrorAborts(t *testing.T) {
+	defer faultinject.LeakCheck(t)()
+	db := healDB()
+	for _, algo := range []Algorithm{IsTa, CarpenterTable} {
+		t.Run(string(algo), func(t *testing.T) {
+			defer faultinject.LeakCheck(t)()
+			restore := faultinject.ErrAtTick(400)
+			defer restore()
+
+			var st MiningStats
+			var out ResultSet
+			err := Mine(db, Options{
+				MinSupport:  10,
+				Algorithm:   algo,
+				Parallelism: 4,
+				Retries:     2,
+				Stats:       &st,
+			}, out.Collect())
+			if !errors.Is(err, faultinject.ErrChaos) {
+				t.Fatalf("err = %v, want the injected ErrChaos", err)
+			}
+			if errors.Is(err, ErrPartial) {
+				t.Fatalf("err = %v degraded; an ordinary error must abort", err)
+			}
+			if st.Retries != 0 || st.Degraded != 0 {
+				t.Fatalf("Retries = %d, Degraded = %d; want 0, 0", st.Retries, st.Degraded)
+			}
+		})
+	}
 }
 
 // assertAllShardsDegraded checks the typed shape of a fully degraded run:
@@ -173,7 +202,7 @@ func TestHealPartialSoundness(t *testing.T) {
 	errMine := Mine(db, Options{
 		MinSupport:  minsup,
 		Parallelism: 4,
-		Retry:       RetryPolicy{MaxAttempts: 1},
+		Retries:     1,
 		Stats:       nil,
 	}, out.Collect())
 	var pe *PartialError
@@ -224,7 +253,7 @@ func TestHealProgressAudit(t *testing.T) {
 	err = Mine(db, Options{
 		MinSupport:       minsup,
 		Parallelism:      4,
-		Retry:            RetryPolicy{MaxAttempts: 2},
+		Retries:          2,
 		Stats:            &st,
 		OnProgress:       log.add,
 		ProgressInterval: time.Nanosecond,

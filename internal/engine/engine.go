@@ -23,7 +23,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/prep"
 	"repro/internal/result"
-	"repro/internal/retry"
 	"repro/internal/txdb"
 )
 
@@ -84,11 +83,11 @@ type Spec struct {
 	// ProgressEvery is the minimum interval between progress snapshots;
 	// 0 selects obs.DefaultInterval.
 	ProgressEvery time.Duration
-	// Retry enables self-healing in the parallel engines: a failed shard
-	// or branch worker is re-mined sequentially up to Retry.MaxAttempts
+	// Retries enables self-healing in the parallel engines: a shard or
+	// branch worker that panicked is re-mined sequentially up to Retries
 	// times before the run degrades to a typed partial result
-	// (PartialError). The zero value keeps today's fail-stop behavior.
-	Retry retry.Policy
+	// (PartialError). Zero keeps the fail-stop behavior.
+	Retries int
 
 	ctl *mining.Control
 	run *obs.Run

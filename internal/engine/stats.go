@@ -31,8 +31,8 @@ type Stats struct {
 
 	// Counts holds the run's counters: patterns, work units,
 	// checkpoints, repository peak, tid-set kernel and self-healing
-	// counters (see obs.Counts). Retries is nonzero only with Spec.Retry
-	// enabled; Degraded nonzero means the run returned a *PartialError.
+	// counters (see obs.Counts). Retries is nonzero only with positive
+	// Spec.Retries; Degraded nonzero means the run returned a *PartialError.
 	obs.Counts
 
 	// PrepTime and MineTime split the run's wall clock between the

@@ -10,11 +10,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/mining"
-	"repro/internal/retry"
 )
 
-// ErrChaos is the base error the chaos scheduler's injected transient
-// failures wrap (errors.Is-matchable through the retry classification).
+// ErrChaos is the base error the chaos scheduler's injected tick errors
+// wrap (errors.Is-matchable).
 var ErrChaos = errors.New("faultinject: injected chaos fault")
 
 // ChaosConfig bounds one seeded fault schedule: how many faults of each
@@ -24,8 +23,8 @@ type ChaosConfig struct {
 	// PanicTicks is the number of one-shot worker panics injected at
 	// cooperative tick checks.
 	PanicTicks int
-	// ErrTicks is the number of one-shot transient errors injected at
-	// tick checks (classified retryable, so supervisors retry them).
+	// ErrTicks is the number of one-shot errors injected at tick checks
+	// (ordinary errors, so supervisors abort the run on them).
 	ErrTicks int
 	// TreeNodes is the number of one-shot panics injected at prefix-tree
 	// node allocations.
@@ -150,7 +149,7 @@ func (c *Chaos) Arm() (restore func()) {
 			delete(c.errTicks, t)
 			c.fired++
 			c.mu.Unlock()
-			return retry.MarkTransient(fmt.Errorf("chaos tick %d: %w", t, ErrChaos))
+			return fmt.Errorf("chaos tick %d: %w", t, ErrChaos)
 		}
 		c.mu.Unlock()
 		return nil

@@ -23,7 +23,6 @@ import (
 	"repro/internal/itemset"
 	"repro/internal/mining"
 	"repro/internal/result"
-	"repro/internal/retry"
 )
 
 // ReporterFault is the value a failing reporter panics with; the guarded
@@ -76,12 +75,14 @@ func (f TickFault) String() string {
 	return fmt.Sprintf("injected tick fault at tick %d", f.K)
 }
 
-// PanicAtTick arms a global fault: the k-th cooperative tick check
-// (counted across all controls and workers of all subsequent runs)
-// panics with a TickFault. For parallel engines the panic fires inside a
-// worker goroutine, exercising worker-panic containment. The check
-// amortization interval is forced to 1 so every Tick checks. Call the
-// returned function to disarm.
+// PanicAtTick arms a global fault: from the k-th cooperative tick check
+// on (counted across all controls and workers of all subsequent runs),
+// every check panics with a TickFault. For parallel engines the panic
+// fires inside a worker goroutine, exercising worker-panic containment;
+// being persistent, it also exercises retry exhaustion — a supervisor
+// re-mining the failed unit keeps failing until its retries run out.
+// The check amortization interval is forced to 1 so every Tick checks.
+// Call the returned function to disarm.
 func PanicAtTick(k int64) (restore func()) {
 	restoreInterval := mining.SetCheckInterval(1)
 	var ticks atomic.Int64
@@ -154,19 +155,17 @@ func PanicAtTreeNodeOnce(n int) (restore func()) {
 	return func() { core.TestHookAlloc = nil }
 }
 
-// TransientErrAtTick arms a global fault: from the k-th cooperative tick
-// check on (counted across all controls and workers), every check fails
-// with an error classified retryable (retry.MarkTransient wrapping
-// ErrIO's tick analogue). Unlike a panic the failure is persistent, so
-// it exercises retry exhaustion: a supervisor re-mining the failed unit
-// keeps failing until its attempt budget runs out. Call the returned
-// function to disarm.
-func TransientErrAtTick(k int64) (restore func()) {
+// ErrAtTick arms a global fault: from the k-th cooperative tick check on
+// (counted across all controls and workers), every check fails with an
+// error wrapping ErrChaos. It is an ordinary worker error, not a panic,
+// so a supervisor aborts the run on it instead of re-mining. Call the
+// returned function to disarm.
+func ErrAtTick(k int64) (restore func()) {
 	restoreInterval := mining.SetCheckInterval(1)
 	var ticks atomic.Int64
 	restoreHook := mining.SetTickHook(func() error {
 		if t := ticks.Add(1); t >= k {
-			return retry.MarkTransient(fmt.Errorf("injected transient fault at tick %d: %w", t, ErrChaos))
+			return fmt.Errorf("injected fault at tick %d: %w", t, ErrChaos)
 		}
 		return nil
 	})

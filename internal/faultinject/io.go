@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/persist"
-	"repro/internal/retry"
 )
 
 // ErrIO is the error injected I/O faults carry; persist must surface it
@@ -27,12 +26,12 @@ var ErrIO = errors.New("faultinject: injected I/O fault")
 // a crash-point sweep: run once cleanly, read Ops, then rerun once per
 // operation index.
 type FaultFS struct {
-	inner     persist.FS
-	failAt    int64
-	short     bool
-	transient bool
-	ops       atomic.Int64
-	crashed   atomic.Bool
+	inner   persist.FS
+	failAt  int64
+	short   bool
+	oneShot bool
+	ops     atomic.Int64
+	crashed atomic.Bool
 }
 
 // NewFaultFS wraps inner so that the failAt-th mutating operation
@@ -42,14 +41,13 @@ func NewFaultFS(inner persist.FS, failAt int64, short bool) *FaultFS {
 	return &FaultFS{inner: inner, failAt: failAt, short: short}
 }
 
-// NewTransientFaultFS wraps inner so that exactly the failAt-th mutating
-// operation (1-based; 0 = never) fails once, with an error classified
-// retryable (retry.MarkTransient); every operation before and after
-// succeeds. It simulates a hiccup — EINTR, a momentary ENOSPC — rather
-// than a dying process, and is what the store's Options.Retry is meant
-// to heal.
-func NewTransientFaultFS(inner persist.FS, failAt int64) *FaultFS {
-	return &FaultFS{inner: inner, failAt: failAt, transient: true}
+// NewOneShotFaultFS wraps inner so that exactly the failAt-th mutating
+// operation (1-based; 0 = never) fails, once; every operation before and
+// after succeeds. It simulates a hiccup — EINTR, a momentary ENOSPC —
+// rather than a dying process: the store latches the error, and a
+// reopen on the same file system heals it.
+func NewOneShotFaultFS(inner persist.FS, failAt int64) *FaultFS {
+	return &FaultFS{inner: inner, failAt: failAt, oneShot: true}
 }
 
 // Ops returns the number of mutating operations seen so far.
@@ -60,7 +58,7 @@ func (f *FaultFS) Crashed() bool { return f.crashed.Load() }
 
 // trip counts one mutating operation and reports whether it must fail.
 func (f *FaultFS) trip() bool {
-	if f.transient {
+	if f.oneShot {
 		return f.ops.Add(1) == f.failAt && f.failAt > 0
 	}
 	if f.crashed.Load() {
@@ -74,17 +72,12 @@ func (f *FaultFS) trip() bool {
 }
 
 // fault counts one mutating operation and returns the injected error it
-// must fail with, or nil. Transient-mode errors carry a retryable
-// classification; crash-mode errors are unclassified (permanent).
+// must fail with, or nil.
 func (f *FaultFS) fault(op, name string) error {
 	if !f.trip() {
 		return nil
 	}
-	err := fmt.Errorf("%s %s: %w", op, name, ErrIO)
-	if f.transient {
-		return retry.MarkTransient(err)
-	}
-	return err
+	return fmt.Errorf("%s %s: %w", op, name, ErrIO)
 }
 
 func (f *FaultFS) Create(name string) (persist.File, error) {

@@ -32,8 +32,8 @@ type Counts struct {
 	// RepSwitches counts kernel representation conversions (promotions,
 	// demotions, diffset materializations).
 	RepSwitches int64 `json:"rep_switches"`
-	// Retries counts healed re-attempts of failed work units (shard
-	// re-mines, branch re-explorations, retried persistence ops).
+	// Retries counts re-attempts of panicked work units (shard re-mines,
+	// branch re-explorations).
 	Retries int64 `json:"retries"`
 	// Degraded counts work units abandoned after retry exhaustion; a
 	// nonzero value means the run returned a typed partial result.

@@ -64,9 +64,8 @@ type Span struct {
 // Note kinds emitted by the self-healing runtime. Like phase names the
 // set is open; sinks must tolerate unknown kinds.
 const (
-	// NoteRetry is one retry of a failed unit of work: a shard or branch
-	// re-mined after a worker fault, or a persistence operation re-run
-	// after a transient I/O error.
+	// NoteRetry is one retry of a failed unit of work: a parallel shard
+	// or branch group re-mined after its worker panicked.
 	NoteRetry = "retry"
 	// NoteDegrade is one unit of work abandoned after its retries were
 	// exhausted: the run continues degraded and returns a typed partial

@@ -23,8 +23,8 @@ import (
 // of transactions and hence closed, and the branch rooted at the first
 // transaction of a set's cover reports its full support. The merged
 // output is emitted in canonical order, which makes it deterministic
-// regardless of scheduling. spec.Retry, when enabled, supervises failed
-// branch groups, and the merge phase is reported as a span to
+// regardless of scheduling. spec.Retries, when positive, supervises
+// panicked branch groups, and the merge phase is reported as a span to
 // spec.Observer().
 func minePreparedCarpenter(pre *prep.Prepared, spec *engine.Spec, rep result.Reporter) error {
 	minsup, workers, ctl := spec.MinSupport, spec.Workers, spec.Control()

@@ -45,8 +45,9 @@ func splitByWork(db *txdb.DB, workers int) []*txdb.DB {
 // database, fanned out across spec.Workers (≥ 2) workers. The reported
 // pattern set is identical to the sequential "ista" registration's; the
 // emission order is deterministic but differs from the sequential
-// traversal order. spec.Retry, when enabled, supervises failed shards
-// (sequential re-mines, then degradation to a typed partial result), and
+// traversal order. spec.Retries, when positive, supervises panicked
+// shards (sequential re-mines, then degradation to a typed partial
+// result), and
 // the merge phase is reported as a span to spec.Observer().
 func minePreparedIsTa(pre *prep.Prepared, spec *engine.Spec, rep result.Reporter) error {
 	minsup, workers, ctl := spec.MinSupport, spec.Workers, spec.Control()

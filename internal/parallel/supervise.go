@@ -9,7 +9,6 @@ import (
 	"repro/internal/guard"
 	"repro/internal/mining"
 	"repro/internal/obs"
-	"repro/internal/retry"
 )
 
 // stops reports whether err is a deliberate stop — cooperative
@@ -21,19 +20,12 @@ func stops(err error) bool {
 		errors.Is(err, guard.ErrBudget)
 }
 
-// retryable reports whether a worker failure is worth re-attempting:
-// contained panics (the fault may be input-order- or timing-dependent)
-// and errors classified transient. Stops and unclassified errors are
-// permanent.
-func retryable(err error) bool {
-	if stops(err) {
-		return false
-	}
+// panicked reports whether a worker failure is a contained panic, the
+// one failure worth re-attempting: the miners are deterministic and
+// in-memory, so any other error would only recur.
+func panicked(err error) bool {
 	var pe *guard.PanicError
-	if errors.As(err, &pe) {
-		return true
-	}
-	return retry.IsTransient(err)
+	return errors.As(err, &pe)
 }
 
 // fanOut is the parallel engines' one supervised fan-out: it runs
@@ -45,17 +37,17 @@ func retryable(err error) bool {
 // through the WaitGroup — workers share no channels, so no goroutine can
 // block forever — and a panic surfaces as a *guard.PanicError.
 //
-// Supervision is the degradation ladder. With the zero retry policy any
-// failure aborts the run (firstError), and a deliberate stop aborts it
-// even with healing on, since retrying others would only re-observe the
-// latched cancellation or budget trip. Otherwise each retryable failure
-// is re-run sequentially up to the policy's attempt budget. A unit that
-// stays failed is abandoned into the returned per-unit report when
-// degradable — the run continues over the other units and returns a
-// typed partial result, or one at once when every unit is lost — and
-// aborts the run when not (for units like the recount stripes, whose
-// loss would break the result's exactness rather than its coverage).
-// kind names the unit in events. Units must be idempotent.
+// Supervision is the degradation ladder. With zero Retries any failure
+// aborts the run (firstError), and a deliberate stop aborts it even with
+// healing on, since retrying others would only re-observe the latched
+// cancellation or budget trip. Otherwise each contained panic is re-run
+// sequentially up to spec.Retries times, and any other failure aborts
+// the run. A unit that keeps panicking is abandoned into the returned
+// per-unit report when degradable — the run continues over the other
+// units and returns a typed partial result, or one at once when every
+// unit is lost — and aborts the run when not (for units like the recount
+// stripes, whose loss would break the result's exactness rather than its
+// coverage). kind names the unit in events. Units must be idempotent.
 func fanOut(spec *engine.Spec, kind string, degradable bool, unit func(w int, ctl *mining.Control) error) ([]engine.ShardError, error) {
 	counters := spec.Control().Counters()
 	attempt := func(w int) (err error) {
@@ -75,8 +67,8 @@ func fanOut(spec *engine.Spec, kind string, degradable bool, unit func(w int, ct
 	}
 	wg.Wait()
 
-	policy, run := spec.Retry, spec.Observer()
-	if !policy.Enabled() {
+	retries, run := spec.Retries, spec.Observer()
+	if retries <= 0 {
 		return nil, firstError(errs)
 	}
 	for _, err := range errs {
@@ -86,12 +78,14 @@ func fanOut(spec *engine.Spec, kind string, degradable bool, unit func(w int, ct
 	}
 	var lost []engine.ShardError
 	for w, err := range errs {
-		for a := 1; err != nil && a <= policy.MaxAttempts; a++ {
-			if !retryable(err) {
+		for a := 1; err != nil && a <= retries; a++ {
+			if !panicked(err) {
 				return nil, err
 			}
-			if !policy.Sleep(spec.Done, a) {
+			select {
+			case <-spec.Done:
 				return nil, mining.ErrCanceled
+			default:
 			}
 			counters.Add(obs.Counts{Retries: 1})
 			run.Note(obs.NoteRetry, fmt.Sprintf("%s %d attempt %d after: %v", kind, w, a, err))
@@ -99,12 +93,12 @@ func fanOut(spec *engine.Spec, kind string, degradable bool, unit func(w int, ct
 		}
 		switch {
 		case err == nil:
-		case !degradable || !retryable(err):
+		case !degradable || !panicked(err):
 			return nil, err
 		default:
 			counters.Add(obs.Counts{Degraded: 1})
-			run.Note(obs.NoteDegrade, fmt.Sprintf("%s %d abandoned after %d retries: %v", kind, w, policy.MaxAttempts, err))
-			lost = append(lost, engine.ShardError{Shard: w, Attempts: policy.MaxAttempts, Err: err})
+			run.Note(obs.NoteDegrade, fmt.Sprintf("%s %d abandoned after %d retries: %v", kind, w, retries, err))
+			lost = append(lost, engine.ShardError{Shard: w, Attempts: retries, Err: err})
 		}
 	}
 	if len(lost) == len(errs) {

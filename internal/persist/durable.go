@@ -11,8 +11,13 @@ import (
 	"repro/internal/itemset"
 	"repro/internal/obs"
 	"repro/internal/result"
-	"repro/internal/retry"
 )
+
+// keepGenerations is the number of snapshot generations retained: older
+// snapshots and the WAL segments covered only by them are deleted after
+// a successful snapshot. Keeping two lets recovery fall back to the
+// previous generation if the newest snapshot is damaged on disk.
+const keepGenerations = 2
 
 // Options configures a Durable store.
 type Options struct {
@@ -29,26 +34,13 @@ type Options struct {
 	// append (every acknowledged Add is durable), larger values trade
 	// durability of the last n-1 transactions for throughput.
 	SyncEvery int
-	// Keep is the number of snapshot generations retained (older
-	// snapshots and the WAL segments covered only by them are deleted
-	// after a successful snapshot); 0 uses 2. Keeping at least two lets
-	// recovery fall back to the previous generation if the newest
-	// snapshot is damaged on disk.
-	Keep int
 	// FS overrides the file system (fault injection); nil uses the OS.
 	FS FS
 	// Obs, when non-nil, receives a span for every recovery (phase
 	// "recover", on Open), snapshot write ("snapshot") and WAL rotation
 	// ("rotate"), each carrying the prefix-tree node count, plus a note
-	// for every retry and repair action. Nil costs nothing.
+	// for every repair action. Nil costs nothing.
 	Obs obs.Sink
-	// Retry, when enabled, re-runs transient snapshot-write and
-	// WAL-rotation I/O failures (classified by retry.IsTransient) before
-	// latching the store. WAL appends are never retried — a failed append
-	// may have left a torn tail, and appending again after it would frame
-	// a gap — and fsync failures are always fail-stop (the kernel page
-	// cache state is unknowable after one).
-	Retry retry.Policy
 	// Repair, when set, lets Open quarantine a corrupt newest snapshot
 	// (rename it aside with QuarantineSuffix) once recovery has succeeded
 	// from an older generation, so the next open does not trip over it
@@ -63,9 +55,6 @@ func (o *Options) fill() {
 	}
 	if o.SyncEvery < 1 {
 		o.SyncEvery = 1
-	}
-	if o.Keep < 1 {
-		o.Keep = 2
 	}
 	if o.FS == nil {
 		o.FS = OS
@@ -163,28 +152,11 @@ func Open(dir string, opt Options) (*Durable, error) {
 	// with this base already exists it holds no durable records beyond
 	// the recovered state (or recovery would have advanced past it), so
 	// truncating it is safe.
-	err = d.retryIO("open rotate", func() error {
-		var werr error
-		d.wal, werr = createWAL(fs, dir, m.Items(), uint64(m.Transactions()))
-		return werr
-	})
-	if err != nil {
+	if d.wal, err = createWAL(fs, dir, m.Items(), uint64(m.Transactions())); err != nil {
 		return nil, err
 	}
 	d.cleanup()
 	return d, nil
-}
-
-// retryIO runs one snapshot/rotation I/O operation under the store's
-// retry policy, counting re-attempts and emitting retry notes. With the
-// zero policy it is exactly op().
-func (d *Durable) retryIO(what string, op func() error) error {
-	return d.opt.Retry.Do(nil, func(attempt int, err error) {
-		d.report.Retried++
-		obs.EmitNote(d.opt.Obs, obs.NoteRetry,
-			fmt.Sprintf("%s attempt %d after: %v", what, attempt, err),
-			obs.Counts{NodesPeak: int64(d.m.NodeCount())})
-	}, op)
 }
 
 // recoverState rebuilds the miner from the newest usable snapshot plus
@@ -363,8 +335,8 @@ func (d *Durable) AddSet(t itemset.Set) error {
 }
 
 // Snapshot writes a snapshot of the current state, rotates the WAL so
-// the replay tail restarts empty, and prunes generations beyond
-// Options.Keep. It is called automatically every SnapshotEvery
+// the replay tail restarts empty, and prunes generations beyond the
+// keepGenerations newest. It is called automatically every SnapshotEvery
 // transactions.
 func (d *Durable) Snapshot() error {
 	if d.err != nil {
@@ -375,11 +347,7 @@ func (d *Durable) Snapshot() error {
 		return nil // the durable snapshot already covers this state
 	}
 	snapStart := time.Now()
-	err := d.retryIO("snapshot", func() error {
-		_, werr := writeSnapshotFile(d.fs, d.dir, d.m)
-		return werr
-	})
-	if err != nil {
+	if _, err := writeSnapshotFile(d.fs, d.dir, d.m); err != nil {
 		return d.fail(err)
 	}
 	obs.EmitSpan(d.opt.Obs, obs.PhaseSnapshot, snapStart, obs.Counts{NodesPeak: int64(d.m.NodeCount())})
@@ -387,12 +355,7 @@ func (d *Durable) Snapshot() error {
 	// segment. Open the new segment before closing the old one so a
 	// failure in between cannot leave the store without an active log.
 	rotateStart := time.Now()
-	var neww *walWriter
-	err = d.retryIO("rotate", func() error {
-		var werr error
-		neww, werr = createWAL(d.fs, d.dir, d.m.Items(), step)
-		return werr
-	})
+	neww, err := createWAL(d.fs, d.dir, d.m.Items(), step)
 	if err != nil {
 		return d.fail(err)
 	}
@@ -410,7 +373,7 @@ func (d *Durable) Snapshot() error {
 	return nil
 }
 
-// cleanup deletes snapshots beyond the Keep newest and WAL segments no
+// cleanup deletes snapshots beyond the keepGenerations newest and WAL segments no
 // kept snapshot needs. Failures are ignored: leftovers cost disk space,
 // not correctness — recovery always prefers the newest generation.
 func (d *Durable) cleanup() {
@@ -424,12 +387,12 @@ func (d *Durable) cleanup() {
 			snaps = append(snaps, step)
 		}
 	}
-	if len(snaps) <= d.opt.Keep {
+	if len(snaps) <= keepGenerations {
 		return
 	}
 	sort.Slice(snaps, func(i, j int) bool { return snaps[i] > snaps[j] })
-	oldest := snaps[d.opt.Keep-1] // oldest kept snapshot
-	for _, step := range snaps[d.opt.Keep:] {
+	oldest := snaps[keepGenerations-1] // oldest kept snapshot
+	for _, step := range snaps[keepGenerations:] {
 		d.fs.Remove(join(d.dir, snapName(step)))
 	}
 	var wals []uint64
@@ -482,13 +445,10 @@ func (d *Durable) Close() error {
 	return nil
 }
 
-// fail latches the store's first fatal error. The latched error is
-// marked permanent regardless of any transient classification beneath:
-// once the store has fail-stopped, re-attempting the operation cannot
-// succeed, so surfacing it as retryable would only mislead supervisors.
+// fail latches the store's first fatal error; only a reopen clears it.
 func (d *Durable) fail(err error) error {
 	if d.err == nil {
-		d.err = retry.MarkPermanent(fmt.Errorf("persist: store failed: %w", err))
+		d.err = fmt.Errorf("persist: store failed: %w", err)
 	}
 	return d.err
 }
@@ -509,14 +469,9 @@ func (d *Durable) NodeCount() int { return d.m.NodeCount() }
 // this handle has written; recovery on Open does not count.
 func (d *Durable) Snapshots() int { return d.snaps }
 
-// RepairReport returns what the self-healing machinery did for this
-// handle: temp files swept and generations skipped or quarantined on
-// open, plus transient I/O retries performed since.
+// RepairReport returns what Open's self-healing did for this handle:
+// temp files swept and generations skipped or quarantined.
 func (d *Durable) RepairReport() RepairReport { return d.report }
-
-// Retries returns the number of transient I/O operations this handle
-// re-ran under Options.Retry.
-func (d *Durable) Retries() int { return d.report.Retried }
 
 // Closed reports the closed item sets of the transactions added so far
 // whose support reaches minSupport (queries work even after a write

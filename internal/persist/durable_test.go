@@ -106,7 +106,7 @@ func TestDurableGenerationPruning(t *testing.T) {
 	const items = 8
 	trans := stream(items, 90, 17)
 	dir := t.TempDir()
-	d, err := Open(dir, Options{Items: items, SnapshotEvery: 10, Keep: 2})
+	d, err := Open(dir, Options{Items: items, SnapshotEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestDurableSnapshotFallback(t *testing.T) {
 	const items = 9
 	trans := stream(items, 27, 30)
 	dir := t.TempDir()
-	d, err := Open(dir, Options{Items: items, SnapshotEvery: 10, Keep: 2})
+	d, err := Open(dir, Options{Items: items, SnapshotEvery: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

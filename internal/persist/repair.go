@@ -34,8 +34,8 @@ func (s GenerationSkip) String() string {
 
 // RepairReport describes everything the durable store's self-healing
 // machinery did on behalf of the caller: orphaned temp files swept on
-// open, generations recovery skipped (and why), corrupt snapshots
-// quarantined, and transient I/O operations retried. It is always
+// open, generations recovery skipped (and why), and corrupt snapshots
+// quarantined. It is always
 // populated — with Repair disabled it still records sweeps and skips,
 // only the quarantine action is withheld.
 type RepairReport struct {
@@ -50,15 +50,12 @@ type RepairReport struct {
 	// Options.Repair was set and recovery succeeded from an older
 	// generation.
 	Quarantined []string
-	// Retried counts transient snapshot/rotation I/O operations re-run
-	// under Options.Retry by this handle.
-	Retried int
 }
 
 // Empty reports whether no repair action or anomaly was recorded.
 func (r *RepairReport) Empty() bool {
 	return len(r.SweptTemp) == 0 && len(r.Skipped) == 0 &&
-		len(r.Quarantined) == 0 && r.Retried == 0
+		len(r.Quarantined) == 0
 }
 
 func (r *RepairReport) String() string {
@@ -74,9 +71,6 @@ func (r *RepairReport) String() string {
 	}
 	for _, q := range r.Quarantined {
 		parts = append(parts, fmt.Sprintf("quarantined %s", q))
-	}
-	if r.Retried > 0 {
-		parts = append(parts, fmt.Sprintf("retried %d op(s)", r.Retried))
 	}
 	return strings.Join(parts, "; ")
 }

@@ -1,8 +1,8 @@
 // Auto-repair conformance for the durable store, from outside the
 // package (faultinject imports persist, so these tests live in
 // persist_test to use both): the startup sweep of orphaned temp files,
-// quarantine of damaged snapshot generations, transient-I/O retry, and
-// the fsync fail-stop veto.
+// quarantine of damaged snapshot generations, and the latch-then-reopen
+// path after a one-shot I/O fault.
 package persist_test
 
 import (
@@ -16,7 +16,6 @@ import (
 	"repro/internal/faultinject"
 	"repro/internal/itemset"
 	"repro/internal/persist"
-	"repro/internal/retry"
 )
 
 func repairStream(items, n int) []itemset.Set {
@@ -110,7 +109,7 @@ func TestRepairQuarantine(t *testing.T) {
 	for _, repair := range []bool{true, false} {
 		t.Run(fmt.Sprintf("repair=%v", repair), func(t *testing.T) {
 			dir := t.TempDir()
-			d, err := persist.Open(dir, persist.Options{Items: items, SnapshotEvery: 10, Keep: 2})
+			d, err := persist.Open(dir, persist.Options{Items: items, SnapshotEvery: 10})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,23 +178,18 @@ func TestRepairQuarantine(t *testing.T) {
 	}
 }
 
-// TestRepairTransientIOSweep injects one transient fault at every
-// mutating file-system operation of an explicit Snapshot, with retry
-// enabled. Each position must land in one of exactly two documented
-// outcomes: the retry heals it (Snapshot succeeds, Retries counts it,
-// nothing is lost) or the fault hit an fsync and the permanent-mark veto
-// keeps the store fail-stop (Snapshot fails, the store latches, and a
-// reopen still recovers every WAL-durable transaction). The sweep
-// asserts both outcomes occur, so the retry path and the veto are each
-// demonstrably exercised.
-func TestRepairTransientIOSweep(t *testing.T) {
+// TestRepairOneShotIOSweep injects one one-shot fault at every mutating
+// file-system operation of an explicit Snapshot. The store has no I/O
+// retry, so every position must land in the one documented outcome:
+// Snapshot fails with the injected error, the store latches it, and a
+// reopen on the same (now healthy) file system recovers every
+// acknowledged transaction.
+func TestRepairOneShotIOSweep(t *testing.T) {
 	const items, n = 8, 8
 	trans := repairStream(items, n)
 
-	session := func(dir string, fs persist.FS, pol retry.Policy) (*persist.Durable, error) {
-		d, err := persist.Open(dir, persist.Options{
-			Items: items, SnapshotEvery: -1, FS: fs, Retry: pol,
-		})
+	session := func(dir string, fs persist.FS) (*persist.Durable, error) {
+		d, err := persist.Open(dir, persist.Options{Items: items, SnapshotEvery: -1, FS: fs})
 		if err != nil {
 			return nil, err
 		}
@@ -211,7 +205,7 @@ func TestRepairTransientIOSweep(t *testing.T) {
 	// Calibrate: count the mutating ops before and after the Snapshot
 	// call on a clean run, so faults are injected only inside it.
 	count := faultinject.NewFaultFS(persist.OS, 0, false)
-	d, err := session(t.TempDir(), count, retry.Policy{})
+	d, err := session(t.TempDir(), count)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,40 +219,26 @@ func TestRepairTransientIOSweep(t *testing.T) {
 		t.Fatalf("snapshot performed no mutating ops (%d..%d)", before, after)
 	}
 
-	var healed, latched int
 	for failAt := before + 1; failAt <= after; failAt++ {
 		dir := t.TempDir()
-		fs := faultinject.NewTransientFaultFS(persist.OS, failAt)
-		d, err := session(dir, fs, retry.Policy{MaxAttempts: 3})
+		fs := faultinject.NewOneShotFaultFS(persist.OS, failAt)
+		d, err := session(dir, fs)
 		if err != nil {
 			t.Fatalf("failAt=%d: fault fired before the snapshot phase: %v", failAt, err)
 		}
 		serr := d.Snapshot()
-		switch {
-		case serr == nil:
-			healed++
-			if d.Retries() < 1 {
-				t.Errorf("failAt=%d: snapshot healed without counting a retry", failAt)
-			}
-			if err := d.Close(); err != nil {
-				t.Errorf("failAt=%d: close after healed snapshot: %v", failAt, err)
-			}
-		case errors.Is(serr, faultinject.ErrIO):
-			latched++
-			if d.Err() == nil {
-				t.Errorf("failAt=%d: snapshot failed but the store did not latch", failAt)
-			}
-			if retry.IsTransient(serr) {
-				t.Errorf("failAt=%d: surfaced error still classified transient — the fsync veto failed: %v", failAt, serr)
-			}
-			d.Close()
-		default:
-			t.Fatalf("failAt=%d: unexpected snapshot error: %v", failAt, serr)
+		if !errors.Is(serr, faultinject.ErrIO) {
+			t.Fatalf("failAt=%d: snapshot error = %v, want the injected fault", failAt, serr)
 		}
+		if d.Err() == nil {
+			t.Errorf("failAt=%d: snapshot failed but the store did not latch", failAt)
+		}
+		if err := d.AddSet(trans[0]); !errors.Is(err, faultinject.ErrIO) {
+			t.Errorf("failAt=%d: add after the fault = %v, want the latched error", failAt, err)
+		}
+		d.Close()
 
-		// Either way, everything acknowledged before the snapshot is
-		// WAL-durable and must recover.
-		d2, err := persist.Open(dir, persist.Options{})
+		d2, err := persist.Open(dir, persist.Options{FS: fs})
 		if err != nil {
 			t.Fatalf("failAt=%d: reopen failed: %v", failAt, err)
 		}
@@ -266,32 +246,5 @@ func TestRepairTransientIOSweep(t *testing.T) {
 			t.Errorf("failAt=%d: reopen holds %d transactions, want %d", failAt, got, n)
 		}
 		d2.Close()
-	}
-	if healed == 0 || latched == 0 {
-		t.Fatalf("sweep exercised healed=%d latched=%d positions, want both nonzero", healed, latched)
-	}
-}
-
-// TestRepairOpenRetry pins that the retry policy also covers the open
-// rotation: a transient fault on the fresh segment's creation is healed
-// and reported through the handle's counters.
-func TestRepairOpenRetry(t *testing.T) {
-	const items = 6
-	dir := t.TempDir()
-
-	// MkdirAll is op 1; the open rotation's create is op 2.
-	fs := faultinject.NewTransientFaultFS(persist.OS, 2)
-	d, err := persist.Open(dir, persist.Options{
-		Items: items, FS: fs, Retry: retry.Policy{MaxAttempts: 3},
-	})
-	if err != nil {
-		t.Fatalf("open with transient rotate fault failed: %v", err)
-	}
-	defer d.Close()
-	if d.Retries() < 1 {
-		t.Fatalf("Retries() = %d, want >= 1", d.Retries())
-	}
-	if err := d.Add(1, 2, 3); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"repro/internal/core"
-	"repro/internal/retry"
 )
 
 // Snapshot format, version 1 (all integers unsigned varints unless
@@ -198,10 +197,7 @@ func writeSnapshotFile(fs FS, dir string, m *core.Incremental) (name string, err
 	if err := f.Sync(); err != nil {
 		f.Close()
 		fs.Remove(tmp)
-		// A failed fsync leaves the kernel page cache in an unknown state;
-		// the permanent mark vetoes any transient classification below it
-		// so the store stays fail-stop (retry.MarkPermanent wins outermost).
-		return "", retry.MarkPermanent(err)
+		return "", err
 	}
 	if err := f.Close(); err != nil {
 		fs.Remove(tmp)
@@ -212,7 +208,7 @@ func writeSnapshotFile(fs FS, dir string, m *core.Incremental) (name string, err
 		return "", err
 	}
 	if err := fs.SyncDir(dir); err != nil {
-		return "", retry.MarkPermanent(err)
+		return "", err
 	}
 	return name, nil
 }

@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"repro/internal/itemset"
-	"repro/internal/retry"
 )
 
 // Write-ahead log format, version 1. A segment starts with a
@@ -89,13 +88,11 @@ func createWAL(fs FS, dir string, items int, base uint64) (*walWriter, error) {
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
-		// fsync failures stay fail-stop regardless of any transient
-		// classification beneath (see writeSnapshotFile).
-		return nil, retry.MarkPermanent(err)
+		return nil, err
 	}
 	if err := fs.SyncDir(dir); err != nil {
 		f.Close()
-		return nil, retry.MarkPermanent(err)
+		return nil, err
 	}
 	return w, nil
 }

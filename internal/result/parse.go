@@ -22,7 +22,9 @@ func Parse(r io.Reader, names []string) (*Set, error) {
 	}
 	var out Set
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<24)
+	// Start from the scanner's small default buffer; it grows on demand
+	// up to 16 MiB for very long patterns.
+	sc.Buffer(nil, 1<<24)
 	line := 0
 	for sc.Scan() {
 		line++

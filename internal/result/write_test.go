@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -151,6 +152,42 @@ func TestWriteAllocs(t *testing.T) {
 	}
 	if counts[0] != counts[1] || counts[0] > 1 {
 		t.Fatalf("Write allocated %.0f times for 5000 patterns and %.0f for 20000, want the same, at most 1", counts[0], counts[1])
+	}
+}
+
+// TestParseAllocs pins that Parse sizes its line buffer to the input:
+// one short line must not cost a preallocated megabyte, yet a line far
+// longer than the scanner's default buffer still parses.
+func TestParseAllocs(t *testing.T) {
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := Parse(strings.NewReader("1 2 (3)\n"), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 64<<10 {
+		t.Fatalf("Parse of one short line allocated %d B, want < 64 KiB", per)
+	}
+
+	var sb strings.Builder
+	const n = 20000
+	for i := 0; i < n; i++ {
+		fmt.Fprintf(&sb, "%d ", i)
+	}
+	sb.WriteString("(5)\n1 (2)\n")
+	if sb.Len() <= 64<<10 {
+		t.Fatalf("long line is only %d B", sb.Len())
+	}
+	s, err := Parse(strings.NewReader(sb.String()), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Len() != 2 || len(s.Patterns[0].Items) != n || s.Patterns[0].Support != 5 {
+		t.Fatalf("long line parsed to %d patterns, first with %d items", s.Len(), len(s.Patterns[0].Items))
 	}
 }
 

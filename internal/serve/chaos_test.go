@@ -43,7 +43,7 @@ func TestChaosShedUnderFullQueue(t *testing.T) {
 	release := armBlock()
 	defer release()
 
-	srv, ts := newTestServer(t, Options{MaxWeight: 1, MaxQueue: 1, RetryAfter: 7 * time.Second})
+	srv, ts := newTestServer(t, Options{MaxWeight: 1, MaxQueue: 1})
 	defer shutdown(ts)
 
 	req := mineRequest{Transactions: [][]int{{0, 1}}, MinSupport: 1, Algorithm: "test-block"}
@@ -69,8 +69,8 @@ func TestChaosShedUnderFullQueue(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status = %d, want 429 (body %s)", resp.StatusCode, data)
 	}
-	if ra := resp.Header.Get("Retry-After"); ra != "7" {
-		t.Errorf("Retry-After = %q, want %q", ra, "7")
+	if ra := resp.Header.Get("Retry-After"); ra != "1" {
+		t.Errorf("Retry-After = %q, want %q", ra, "1")
 	}
 
 	release()
@@ -154,7 +154,7 @@ func txStatus(t *testing.T, url string, items []int) int {
 }
 
 // TestChaosBreakerRecovery drives the full store-fault arc against a
-// live server: a transient I/O fault latches the store and opens the
+// live server: a one-shot I/O fault latches the store and opens the
 // breaker (503 + Retry-After), reads and mining keep working in the
 // read-only degraded mode, /readyz flips to 503, and after the cooldown
 // the half-open probe reopens the store from disk and recovers — with
@@ -163,7 +163,7 @@ func TestChaosBreakerRecovery(t *testing.T) {
 	defer faultinject.LeakCheck(t)()
 
 	// Calibrate: count the mutating FS ops of open + one append, so the
-	// chaos run can aim its transient fault at the second append.
+	// chaos run can aim its one-shot fault at the second append.
 	counter := faultinject.NewFaultFS(persist.OS, 0, false)
 	calSrv, calTS := newTestServer(t, Options{
 		StoreDir:     t.TempDir(),
@@ -176,7 +176,7 @@ func TestChaosBreakerRecovery(t *testing.T) {
 	opsPerCycle := counter.Ops()
 	_ = calSrv
 
-	faultFS := faultinject.NewTransientFaultFS(persist.OS, opsPerCycle+1)
+	faultFS := faultinject.NewOneShotFaultFS(persist.OS, opsPerCycle+1)
 	srv, ts := newTestServer(t, Options{
 		StoreDir:        t.TempDir(),
 		StoreOptions:    persist.Options{Items: 8, FS: faultFS, SnapshotEvery: -1},
@@ -225,7 +225,7 @@ func TestChaosBreakerRecovery(t *testing.T) {
 		t.Errorf("read-only /closed during open breaker: status %d, body %s", r.StatusCode, body)
 	}
 
-	// After the cooldown the probe reopens the store (the transient
+	// After the cooldown the probe reopens the store (the one-shot
 	// fault is spent) and the write goes through.
 	waitFor(t, func() bool {
 		return txStatus(t, ts.URL, []int{1, 2}) == http.StatusOK

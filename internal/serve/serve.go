@@ -55,7 +55,8 @@ const (
 	DefaultBreakerFailures = 3
 	// DefaultBreakerCooldown is the open → half-open delay.
 	DefaultBreakerCooldown = 5 * time.Second
-	// DefaultRetryAfter is the Retry-After hint on shed responses.
+	// DefaultRetryAfter is the Retry-After hint on shed responses and on
+	// store faults outside the breaker's cooldown.
 	DefaultRetryAfter = 1 * time.Second
 )
 
@@ -69,9 +70,6 @@ type Options struct {
 	// (saturation sheds immediately), negative values act as 0. Use
 	// DefaultMaxQueue explicitly for the standard bound.
 	MaxQueue int
-	// RetryAfter is the Retry-After hint on 429 responses; 0 uses
-	// DefaultRetryAfter.
-	RetryAfter time.Duration
 	// DefaultTimeout and MaxTimeout bound per-request mining deadlines;
 	// 0 uses the package defaults.
 	DefaultTimeout time.Duration
@@ -112,9 +110,6 @@ func (o *Options) fill() {
 	}
 	if o.MaxQueue < 0 {
 		o.MaxQueue = 0
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = DefaultRetryAfter
 	}
 	if o.DefaultTimeout <= 0 {
 		o.DefaultTimeout = DefaultTimeout
@@ -213,7 +208,7 @@ func (s *Server) handleMine(w http.ResponseWriter, r *http.Request) {
 	release, err := s.gate.acquire(r.Context(), weight)
 	if err != nil {
 		if errors.Is(err, ErrShed) {
-			w.Header().Set("Retry-After", retryAfterValue(s.opt.RetryAfter))
+			w.Header().Set("Retry-After", retryAfterValue(DefaultRetryAfter))
 			writeError(w, http.StatusTooManyRequests, err.Error(), 0)
 			return
 		}
@@ -344,7 +339,7 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 	release, err := s.gate.acquire(r.Context(), 1)
 	if err != nil {
 		if errors.Is(err, ErrShed) {
-			w.Header().Set("Retry-After", retryAfterValue(s.opt.RetryAfter))
+			w.Header().Set("Retry-After", retryAfterValue(DefaultRetryAfter))
 			writeError(w, http.StatusTooManyRequests, err.Error(), 0)
 			return
 		}
@@ -358,7 +353,7 @@ func (s *Server) handleTx(w http.ResponseWriter, r *http.Request) {
 		if errors.As(err, &ue) {
 			w.Header().Set("Retry-After", retryAfterValue(ue.retryAfter))
 		} else {
-			w.Header().Set("Retry-After", retryAfterValue(s.opt.RetryAfter))
+			w.Header().Set("Retry-After", retryAfterValue(DefaultRetryAfter))
 		}
 		writeError(w, http.StatusServiceUnavailable, err.Error(), 0)
 		return
