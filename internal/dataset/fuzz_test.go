@@ -1,8 +1,10 @@
 package dataset
 
 import (
+	"bytes"
 	"strings"
 	"testing"
+	"unicode"
 
 	"repro/internal/txdb"
 )
@@ -52,3 +54,32 @@ func FuzzReadWriteRoundTrip(f *testing.F) {
 
 // The preprocessing fuzz test (FuzzPrepareInvariants) lives in
 // internal/prep with the pipeline it checks.
+
+// FuzzFields checks the tokenizer against the standard library on
+// arbitrary bytes: the tokens nextField yields are bytes.Fields', and
+// trimLeftSpace is bytes.TrimLeftFunc with unicode.IsSpace.
+func FuzzFields(f *testing.F) {
+	f.Add([]byte("1 2\t3\r\n"))
+	f.Add([]byte(""))
+	f.Add([]byte("  \v\f "))
+	f.Add([]byte("a b c\u0085 d"))
+	f.Add([]byte("x\xffy \xc2 \xa0z"))
+	f.Fuzz(func(t *testing.T, in []byte) {
+		want := bytes.Fields(in)
+		var got [][]byte
+		for tok, rest := nextField(in); tok != nil; tok, rest = nextField(rest) {
+			got = append(got, tok)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%q: %d tokens %q, bytes.Fields has %d: %q", in, len(got), got, len(want), want)
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("%q: token %d is %q, bytes.Fields has %q", in, i, got[i], want[i])
+			}
+		}
+		if got, want := trimLeftSpace(in), bytes.TrimLeftFunc(in, unicode.IsSpace); !bytes.Equal(got, want) {
+			t.Fatalf("%q: trimLeftSpace = %q, want %q", in, got, want)
+		}
+	})
+}

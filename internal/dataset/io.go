@@ -13,6 +13,7 @@ import (
 	"os"
 	"strconv"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/itemset"
 	"repro/internal/txdb"
@@ -128,7 +129,7 @@ func (p *parser) line(text []byte) error {
 	if p.codes == nil {
 		p.raw = append(append(p.raw, text...), '\n')
 	}
-	text = bytes.TrimLeftFunc(text, unicode.IsSpace)
+	text = trimLeftSpace(text)
 	if len(text) > 0 && text[0] == '#' {
 		return nil
 	}
@@ -201,19 +202,58 @@ func (p *parser) toNames() {
 	}
 }
 
+// Byte classes for the tokenizer: ASCII bytes split by a table lookup,
+// and the first byte of anything else hands the scan to the unicode path.
+const (
+	tokenByte = iota // ASCII, not white space
+	spaceByte        // ASCII white space, as unicode.IsSpace says
+	wideByte         // ≥ 0x80: part of a multi-byte rune, or invalid UTF-8
+)
+
+var byteClass = func() (c [256]uint8) {
+	for _, b := range []byte("\t\n\v\f\r ") {
+		c[b] = spaceByte
+	}
+	for b := utf8.RuneSelf; b < 256; b++ {
+		c[b] = wideByte
+	}
+	return c
+}()
+
+// trimLeftSpace is bytes.TrimLeftFunc(s, unicode.IsSpace).
+func trimLeftSpace(s []byte) []byte {
+	for i, c := range s {
+		switch byteClass[c] {
+		case tokenByte:
+			return s[i:]
+		case wideByte:
+			return bytes.TrimLeftFunc(s[i:], unicode.IsSpace)
+		}
+	}
+	return nil
+}
+
 // nextField returns the first whitespace-separated token of s (nil if
 // there is none) and the rest of s after it. It splits exactly where
-// strings.Fields does.
+// bytes.Fields does.
 func nextField(s []byte) (tok, rest []byte) {
-	s = bytes.TrimLeftFunc(s, unicode.IsSpace)
+	s = trimLeftSpace(s)
+	for i, c := range s {
+		switch byteClass[c] {
+		case spaceByte:
+			return s[:i], s[i:]
+		case wideByte:
+			j := bytes.IndexFunc(s[i:], unicode.IsSpace)
+			if j < 0 {
+				return s, nil
+			}
+			return s[:i+j], s[i+j:]
+		}
+	}
 	if len(s) == 0 {
 		return nil, nil
 	}
-	i := bytes.IndexFunc(s, unicode.IsSpace)
-	if i < 0 {
-		i = len(s)
-	}
-	return s[:i], s[i:]
+	return s, nil
 }
 
 func countFields(s []byte) int {

@@ -18,7 +18,13 @@ import (
 // must not allocate. Any per-intersection make() reintroduced into the
 // kernel or the miners trips this immediately; the CI smoke step runs it
 // on every push.
-func TestEclatLevelAllocs(t *testing.T) {
+func TestEclatLevelAllocs(t *testing.T) { checkLevelAllocs(t, false) }
+
+// TestEclatLevelAllocsPairs is TestEclatLevelAllocs with the pair matrix
+// built, so the root level reads pair supports before it intersects.
+func TestEclatLevelAllocsPairs(t *testing.T) { checkLevelAllocs(t, true) }
+
+func checkLevelAllocs(t *testing.T, pairs bool) {
 	// The reference workload of the kernel benchmarks: a dense Bernoulli
 	// database where intersections are long enough that a stray per-call
 	// allocation cannot hide in noise.
@@ -41,6 +47,12 @@ func TestEclatLevelAllocs(t *testing.T) {
 
 	m := &eclatMiner{minsup: rows / 4, target: engine.Closed, pre: pre, db: pdb}
 	m.ker = tidset.NewKernel(pdb.KernelUniverse())
+	if pairs {
+		var err error
+		if m.pairSupp, err = countPairs(pdb, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sets := pdb.KernelSets()
 	root := make([]ext, 0, len(sets))
 	for i := range sets {

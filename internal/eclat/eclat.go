@@ -12,6 +12,13 @@
 // stop early once the minsup bound is unreachable, and each recursion
 // level draws its result storage from a depth-scoped arena, so a level
 // runs allocation-free in steady state.
+//
+// Before the root level, a cost rule may choose Zaki's pair count: one
+// pass over the rows fills a triangular matrix with every item pair's
+// weighted support, and the root level then intersects only the frequent
+// pairs. The pass runs when its increments cost less than the root
+// level's list elements and bitmap words, the matrix is no larger than
+// the vertical view, and the total weight fits in an int32 (DESIGN §5i).
 package eclat
 
 import (
@@ -36,36 +43,15 @@ type ext struct {
 
 // minePrepared is the Eclat search on an already preprocessed database.
 func minePrepared(pre *prep.Prepared, minsup int, target engine.Target, ctl *mining.Control, rep result.Reporter) error {
-	pdb := pre.DB
-	if pdb.NumItems() == 0 {
-		return nil
-	}
-
 	m := &eclatMiner{
 		minsup: minsup,
 		target: target,
 		pre:    pre,
-		db:     pdb,
+		db:     pre.DB,
 		rep:    rep,
 		ctl:    ctl,
 	}
-	if target == engine.Maximal {
-		// Mine closed sets into a buffer and post-filter: the maximal
-		// frequent sets are the closed sets without closed proper
-		// supersets.
-		m.target = engine.Closed
-		var buf result.Set
-		m.rep = buf.Collect()
-		if err := m.run(pdb); err != nil {
-			return err
-		}
-		maximal := result.FilterMaximal(&buf)
-		for _, p := range maximal.Patterns {
-			rep.Report(p.Items, p.Support)
-		}
-		return nil
-	}
-	return m.run(pdb)
+	return m.mineTarget()
 }
 
 type eclatMiner struct {
@@ -76,17 +62,53 @@ type eclatMiner struct {
 	rep    result.Reporter
 	ctl    *mining.Control
 	cfi    result.CFITree
+	// pairs is pairsByCost outside tests.
+	pairs pairMode
 
 	ker *tidset.Kernel
+	// pairSupp is the upper-triangular pair matrix (see countPairs), nil
+	// when the cost rule declined the counting pass.
+	pairSupp []int32
 	// Depth-indexed pools: the extension and perfect-item buffers of one
 	// recursion level, reused across that level's siblings.
 	extBufs  [][]ext
 	perfBufs []itemset.Set
 }
 
-func (m *eclatMiner) run(pdb *txdb.DB) error {
-	m.ker = tidset.NewKernel(pdb.KernelUniverse())
-	sets := pdb.KernelSets()
+// mineTarget mines m.target into m.rep.
+func (m *eclatMiner) mineTarget() error {
+	if m.db.NumItems() == 0 {
+		return nil
+	}
+	if m.target == engine.Maximal {
+		// Mine closed sets into a buffer and post-filter: the maximal
+		// frequent sets are the closed sets without closed proper
+		// supersets.
+		rep := m.rep
+		m.target = engine.Closed
+		var buf result.Set
+		m.rep = buf.Collect()
+		if err := m.run(); err != nil {
+			return err
+		}
+		maximal := result.FilterMaximal(&buf)
+		for _, p := range maximal.Patterns {
+			rep.Report(p.Items, p.Support)
+		}
+		return nil
+	}
+	return m.run()
+}
+
+func (m *eclatMiner) run() error {
+	m.ker = tidset.NewKernel(m.db.KernelUniverse())
+	sets := m.db.KernelSets()
+	if m.pairs == pairsOn || m.pairs == pairsByCost && pairCountPays(m.db, sets) {
+		var err error
+		if m.pairSupp, err = countPairs(m.db, m.ctl); err != nil {
+			return err
+		}
+	}
 	root := make([]ext, 0, len(sets))
 	for i := range sets {
 		// Prepare already removed infrequent items.
@@ -112,8 +134,17 @@ func (m *eclatMiner) extend(depth int, e *ext, rest []ext) ([]ext, itemset.Set) 
 	}
 	next := m.extBufs[depth][:0]
 	perfect := m.perfBufs[depth][:0]
+	// At the root, e and rest are single items: pairs the counting pass
+	// found infrequent need no intersection.
+	var supp []int32
+	if depth == 0 && m.pairSupp != nil {
+		supp = m.pairSupp[pairRowStart(int(e.item), m.db.NumItems()):]
+	}
 	for j := range rest {
 		f := &rest[j]
+		if supp != nil && int(supp[f.item-e.item-1]) < m.minsup {
+			continue
+		}
 		shared, ok := m.ker.Intersect(ar, &e.set, &f.set, m.minsup)
 		if !ok {
 			continue
