@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -351,13 +352,16 @@ func TestFileRoundTrip(t *testing.T) {
 }
 
 // ReadAllocBudget is the checked-in allocation budget for one Read of the
-// 2 000-row numeric input of TestReadAllocs. Numeric input is parsed
-// straight into the store, so the only allocations are the amortized
-// growth of the scanner buffer, the raw-line copy and the store's columns
-// (a few dozen, logarithmic in the input size); one allocation per line
-// or per token blows far past it.
-const ReadAllocBudget = 100
+// 2 000-row numeric input of TestReadAllocs. The input passes through one
+// buffer sized from the reader's length, into store columns pre-sized
+// from byte counts, so the only allocations are those few columns, the
+// parser and the row scratch's growth (11 at the last count); one
+// allocation per line or per token blows far past it.
+const ReadAllocBudget = 16
 
+// TestReadAllocs bounds Read's allocations in count and in bytes: at most
+// twice the input (the buffer, the row offsets) plus 4 B per token (the
+// item ids).
 func TestReadAllocs(t *testing.T) {
 	const n, items = 2000, 40
 	rng := rand.New(rand.NewSource(12))
@@ -366,13 +370,29 @@ func TestReadAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := buf.Bytes()
-	allocs := testing.AllocsPerRun(10, func() {
+	read := func() {
 		if _, err := Read(bytes.NewReader(input)); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	allocs := testing.AllocsPerRun(10, read)
 	t.Logf("Read: %.0f allocs for %d rows, %d bytes (budget %d)", allocs, n, len(input), ReadAllocBudget)
 	if allocs > ReadAllocBudget {
 		t.Fatalf("Read allocated %.0f times for %d rows, budget %d", allocs, n, ReadAllocBudget)
+	}
+
+	const runs = 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	tokens := len(bytes.Fields(input))
+	limit := uint64(2*len(input) + 4*tokens)
+	t.Logf("Read: %d B allocated for %d bytes, %d tokens (bound %d)", got, len(input), tokens, limit)
+	if got > limit {
+		t.Fatalf("Read allocated %d B for %d bytes and %d tokens, bound %d", got, len(input), tokens, limit)
 	}
 }

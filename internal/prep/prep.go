@@ -20,9 +20,9 @@
 package prep
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/itemset"
 	"repro/internal/txdb"
@@ -156,18 +156,12 @@ func Prepare(src txdb.Source, minSupport int, cfg Config) *Prepared {
 	}
 	switch cfg.Items {
 	case OrderAscFreq:
-		sort.Slice(alive, func(a, b int) bool {
-			if alive[a].freq != alive[b].freq {
-				return alive[a].freq < alive[b].freq
-			}
-			return alive[a].item < alive[b].item
+		slices.SortFunc(alive, func(a, b itemFreq) int {
+			return cmp.Or(cmp.Compare(a.freq, b.freq), cmp.Compare(a.item, b.item))
 		})
 	case OrderDescFreq:
-		sort.Slice(alive, func(a, b int) bool {
-			if alive[a].freq != alive[b].freq {
-				return alive[a].freq > alive[b].freq
-			}
-			return alive[a].item < alive[b].item
+		slices.SortFunc(alive, func(a, b itemFreq) int {
+			return cmp.Or(cmp.Compare(b.freq, a.freq), cmp.Compare(a.item, b.item))
 		})
 	case OrderKeep:
 		// alive is already in ascending original-code order.
@@ -221,8 +215,12 @@ func sourceFreqs(src txdb.Source) []int {
 func encodeRows(src txdb.Source, encode []itemset.Item, universe int, resort bool) *txdb.DB {
 	n := src.NumTx()
 	total := 0
-	for k := 0; k < n; k++ {
-		total += len(src.Tx(k))
+	if db, ok := src.(*txdb.DB); ok {
+		total = db.NumIds()
+	} else {
+		for k := 0; k < n; k++ {
+			total += len(src.Tx(k))
+		}
 	}
 	b := txdb.NewBuilder(n, total)
 	b.SetNumItems(universe)
@@ -254,50 +252,45 @@ func orderRows(db *txdb.DB, order TransOrder) *txdb.DB {
 		return db
 	}
 	n := db.NumTx()
-	perm := make([]int, n)
+	perm := make([]int32, n)
 	for i := range perm {
-		perm[i] = i
+		perm[i] = int32(i)
 	}
-	switch order {
-	case OrderSizeAsc:
-		sort.SliceStable(perm, func(a, b int) bool {
-			la, lb := db.Len(perm[a]), db.Len(perm[b])
-			if la != lb {
-				return la < lb
-			}
-			return lexDescLess(db.Tx(perm[a]), db.Tx(perm[b]))
-		})
-	case OrderSizeDesc:
-		sort.SliceStable(perm, func(a, b int) bool {
-			la, lb := db.Len(perm[a]), db.Len(perm[b])
-			if la != lb {
-				return la > lb
-			}
-			return lexDescLess(db.Tx(perm[a]), db.Tx(perm[b]))
-		})
+	sign := 1 // OrderSizeAsc
+	if order == OrderSizeDesc {
+		sign = -1
 	}
+	// Equal rows keep their input order, as a stable sort would keep
+	// them; the index tie-break lets the faster unstable sort do it.
+	slices.SortFunc(perm, func(a, b int32) int {
+		if c := cmp.Compare(db.Len(int(a)), db.Len(int(b))); c != 0 {
+			return sign * c
+		}
+		return cmp.Or(lexDescCompare(db.Tx(int(a)), db.Tx(int(b))), cmp.Compare(a, b))
+	})
 	b := txdb.NewBuilder(n, db.NumIds())
 	b.SetNumItems(db.NumItems())
 	for _, k := range perm {
-		b.AddWeighted(db.Tx(k), db.Weight(k))
+		b.AddWeighted(db.Tx(int(k)), db.Weight(int(k)))
 	}
 	return b.Build()
 }
 
-// lexDescLess compares two transactions lexicographically on a descending
-// listing of their item codes (the paper uses "a lexicographical order of
-// the transactions based on a descending order of items in each
-// transaction").
-func lexDescLess(a, b itemset.Set) bool {
+// lexDescCompare compares two transactions lexicographically on a
+// descending listing of their item codes (the paper uses "a
+// lexicographical order of the transactions based on a descending order
+// of items in each transaction"); a proper prefix of that listing comes
+// first.
+func lexDescCompare(a, b itemset.Set) int {
 	i, j := len(a)-1, len(b)-1
 	for i >= 0 && j >= 0 {
 		if a[i] != b[j] {
-			return a[i] < b[j]
+			return cmp.Compare(a[i], b[j])
 		}
 		i--
 		j--
 	}
-	return i < 0 && j >= 0
+	return cmp.Compare(i, j)
 }
 
 // DecodeSet maps a recoded item set back to original codes, in canonical

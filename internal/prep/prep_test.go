@@ -250,14 +250,18 @@ func TestLexDescLess(t *testing.T) {
 	// {d,b} < {d,c}.
 	a := itemset.FromInts(1, 3) // listed desc: 3,1
 	b := itemset.FromInts(2, 3) // listed desc: 3,2
-	if !lexDescLess(a, b) {
+	if lexDescCompare(a, b) >= 0 {
 		t.Error("{3,1} should come before {3,2}")
 	}
-	if lexDescLess(b, a) {
+	if lexDescCompare(b, a) <= 0 {
 		t.Error("comparison should be asymmetric")
 	}
-	if lexDescLess(a, a) {
-		t.Error("irreflexive")
+	if lexDescCompare(a, a) != 0 {
+		t.Error("a set should equal itself")
+	}
+	// A proper prefix of the descending listing comes first: {3} < {1,3}.
+	if p := itemset.FromInts(3); lexDescCompare(p, a) >= 0 || lexDescCompare(a, p) <= 0 {
+		t.Error("{3} should come before {3,1}")
 	}
 }
 
