@@ -56,21 +56,41 @@ func (t *Tree) Prune(remain []int, minSupport int) {
 // every item already copied, so the ordered merge with the tail suffices,
 // and lifted nodes are inspected by the continued loop like any other
 // sibling. minSupport 0 copies everything (remain is then not read).
+//
+// Like isect, it descends with an explicit stack: before copying a node's
+// children it pushes the node's sibling with the copy's sibling link. A
+// merge below the node relinks only lists below it, so the sibling pushed
+// is the one the list still holds when the children are done.
 func (t *Tree) copyList(n *node, remain []int, minSupport int32) *node {
 	var head *node
 	tail := &head
-	for n != nil {
-		if minSupport > 0 && n.supp+int32(remain[n.item]) < minSupport {
-			n = merge(n.children, n.sibling)
-			continue
+	stack := t.stack[:0]
+	for {
+		for n != nil {
+			if minSupport > 0 && n.supp+int32(remain[n.item]) < minSupport {
+				n = merge(n.children, n.sibling)
+				continue
+			}
+			c := t.spare.alloc()
+			c.item, c.step, c.supp = n.item, n.step, n.supp
+			*tail = c
+			if n.children != nil {
+				if n.sibling != nil {
+					stack = append(stack, frame{n.sibling, &c.sibling})
+				}
+				n, tail = n.children, &c.children
+				continue
+			}
+			n, tail = n.sibling, &c.sibling
 		}
-		c := t.spare.alloc()
-		c.item, c.step, c.supp = n.item, n.step, n.supp
-		*tail = c
-		tail = &c.sibling
-		c.children = t.copyList(n.children, remain, minSupport)
-		n = n.sibling
+		if len(stack) == 0 {
+			break
+		}
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		n, tail = f.n, f.ins
 	}
+	t.stack = stack
 	return head
 }
 
