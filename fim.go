@@ -239,8 +239,9 @@ type Options struct {
 	// sets for Carpenter/Cobbler; per worker in a parallel run) to bound
 	// memory on dense inputs whose repository would otherwise grow
 	// exponentially. Mine returns an error wrapping ErrBudget once the
-	// cap is exceeded. FP-close and Eclat keep their CFI-tree outside the
-	// budget, and LCM keeps no repository; all three ignore the field.
+	// cap is exceeded. FP-close's CFI-tree and Eclat's closed index stay
+	// outside the budget (their sizes still reach NodesPeak), and LCM
+	// keeps no repository; all three ignore the field.
 	MaxTreeNodes int
 	// Retries, when positive, arms the self-healing supervisor in the
 	// parallel engines: a shard or branch worker that panicked is re-mined

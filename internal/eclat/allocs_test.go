@@ -2,11 +2,14 @@ package eclat
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/gendata"
 	"repro/internal/itemset"
 	"repro/internal/prep"
+	"repro/internal/result"
 	"repro/internal/tidset"
 	"repro/internal/txdb"
 )
@@ -69,5 +72,30 @@ func checkLevelAllocs(t *testing.T, pairs bool) {
 	})
 	if allocs != 0 {
 		t.Fatalf("one eclat recursion level allocated %.0f times, want 0", allocs)
+	}
+}
+
+// TestClosedAllocs pins ClosedAllocBudget: the bytes one engine run of
+// the Closed target allocates on the dense reference ramp (prep, kernel
+// arenas, closure candidates and the closed index).
+func TestClosedAllocs(t *testing.T) {
+	db := gendata.Dense(2000, 48, 0.05, 0.90, 1)
+	const minsup = 550
+	best, allocs := uint64(1<<62), uint64(0)
+	for run := 0; run < 3; run++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		if err := mine(db, minsup, engine.Closed, nil, &result.Counter{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if b := after.TotalAlloc - before.TotalAlloc; b < best {
+			best, allocs = b, after.Mallocs-before.Mallocs
+		}
+	}
+	t.Logf("eclat closed: %d bytes in %d allocations on Dense(2000, 48) at minsup %d (budget %d)", best, allocs, minsup, ClosedAllocBudget)
+	if best > ClosedAllocBudget {
+		t.Fatalf("eclat closed allocated %d bytes, budget %d", best, ClosedAllocBudget)
 	}
 }

@@ -5,7 +5,11 @@
 // "all frequent item sets" target it offers closed and maximal targets;
 // the closed target uses the same closure-candidate + repository scheme as
 // FP-close (package fpgrowth), adapted to Eclat's ascending processing
-// order.
+// order. Its repository is not a CFI-tree but a closed index keyed by the
+// candidate's tid set (tid count, tid sum), as in CHARM: a stored
+// superset with equal support has exactly the candidate's tid set, so
+// one bucket lookup answers the subsumption check (closed.go, DESIGN
+// §5i).
 //
 // Tid sets are internal/tidset kernel sets: the representation (sparse
 // list, bitmap, diffset) is chosen adaptively per node, intersections
@@ -30,6 +34,13 @@ import (
 	"repro/internal/tidset"
 	"repro/internal/txdb"
 )
+
+// ClosedAllocBudget is the checked-in budget, in bytes, for one engine
+// run of the Closed target over gendata.Dense(2000, 48, 0.05, 0.90, 1)
+// at minsup 550 (TestClosedAllocs and its CI step enforce it). The run
+// allocates about 1.12 MB; the CFI-tree the closed index replaced took
+// 1.34 MB, above the budget.
+const ClosedAllocBudget = 1200 << 10
 
 // ext is one extension candidate at a search node: an item and the tid
 // set of prefix ∪ {item}. The Set value must stay at a stable address
@@ -61,7 +72,7 @@ type eclatMiner struct {
 	db     *txdb.DB
 	rep    result.Reporter
 	ctl    *mining.Control
-	cfi    result.CFITree
+	closed closedIndex
 	// pairs is pairsByCost outside tests.
 	pairs pairMode
 
@@ -188,12 +199,15 @@ func (m *eclatMiner) mine(depth int, prefix itemset.Set, exts []ext) error {
 			cand = append(cand, e.item)
 			cand = append(cand, perfect...)
 			canon := itemset.Canonicalize(cand)
-			if m.cfi.Subsumed(canon, supp) {
+			// Perfect extensions keep e's tid set, so e.set is canon's.
+			card, sum := e.set.Card(), e.set.TidSum()
+			if m.closed.Subsumed(canon, card, sum) {
 				// A previously found closed superset with equal support
 				// exists; this branch cannot contain closed sets.
 				continue
 			}
-			m.cfi.Insert(canon, supp)
+			m.closed.Insert(canon, card, sum)
+			m.ctl.CountNodes(m.closed.Len())
 			m.emit(canon, supp)
 			if len(next) > 0 {
 				if err := m.mine(depth+1, canon, next); err != nil {

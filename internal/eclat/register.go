@@ -9,7 +9,7 @@ import (
 func init() {
 	engine.Register(engine.Registration{
 		Name:    "eclat",
-		Doc:     "depth-first tid-list intersection with a CFI repository for closed output (Zaki et al.)",
+		Doc:     "depth-first tid-list intersection with a tid-set-keyed repository for closed output (Zaki et al.)",
 		Targets: []engine.Target{engine.Closed, engine.All, engine.Maximal},
 		Prep:    prep.Config{Items: prep.OrderAscFreq, Trans: prep.OrderOriginal},
 		Order:   50,

@@ -155,6 +155,7 @@ func (m *fpMiner) mine(tree *fpTree, prefix itemset.Set) error {
 				continue
 			}
 			m.cfi.Insert(canon, int(supp))
+			m.ctl.CountNodes(m.cfi.NodeCount())
 			m.emit(canon, int(supp))
 
 			cond := m.buildConditional(tree, i, condCounts, perfect)

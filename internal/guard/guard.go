@@ -48,9 +48,11 @@ type Budget struct {
 	// MaxTreeNodes caps the size of a miner's repository: live prefix-tree
 	// nodes for IsTa, stored sets for the Carpenter/Cobbler repositories
 	// and the flat cumulative scheme. In a parallel run the cap applies to
-	// each worker's private repository. FP-close and Eclat keep their
-	// CFI-tree outside the budget, and LCM keeps no repository, so none
-	// of these is affected. Values <= 0 mean no cap.
+	// each worker's private repository. FP-close's CFI-tree and Eclat's
+	// closed index stay outside the budget (their sizes reach nodes_peak
+	// through mining.Control.CountNodes, which never checks it), and LCM
+	// keeps no repository, so none of these is affected. Values <= 0 mean
+	// no cap.
 	MaxTreeNodes int
 }
 

@@ -131,6 +131,18 @@ func (c *Control) CountKernel(isects, earlyStops, switches int64) {
 	c.pending.RepSwitches += switches
 }
 
+// CountNodes records n as a candidate repository peak (nodes_peak) for
+// repositories outside the guard's node budget (the enumeration
+// miners' closed-set stores). Unlike PollNodes it never checks or trips
+// MaxTreeNodes, and like CountOps it stays Control-local until the next
+// amortized check or Flush.
+func (c *Control) CountNodes(n int) {
+	if c == nil || c.counters == nil {
+		return
+	}
+	c.pending.NodesPeak = max(c.pending.NodesPeak, int64(n))
+}
+
 // Flush pushes any unflushed counter state to the shared Counters. The
 // engine calls it once after a run; miners never need to.
 func (c *Control) Flush() {

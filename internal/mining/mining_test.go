@@ -1,6 +1,11 @@
 package mining
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/guard"
+	"repro/internal/obs"
+)
 
 func TestNilControlNeverCancels(t *testing.T) {
 	var c *Control
@@ -95,5 +100,40 @@ func TestControlLatchesImmediately(t *testing.T) {
 	}
 	if err := c2.Tick(); err != ErrCanceled {
 		t.Fatalf("Tick after a Canceled observation returned %v, want ErrCanceled", err)
+	}
+}
+
+// TestCountNodes checks the counters-only repository source: CountNodes
+// keeps the largest size it saw, that peak reaches the shared Counters
+// as nodes_peak (and from there every surface TestCountsSchema pins) at
+// the next flush, and it never checks the node budget, so a repository
+// outside MaxTreeNodes cannot stop a run.
+func TestCountNodes(t *testing.T) {
+	var nilCtl *Control
+	nilCtl.CountNodes(7) // nil-safe
+	NewControl(nil).CountNodes(7)
+
+	var counters obs.Counters
+	c := GuardedCounted(nil, guard.New(guard.Budget{MaxTreeNodes: 2}), &counters)
+	for _, n := range []int{3, 9, 4} {
+		c.CountNodes(n)
+	}
+	if got := counters.Load().NodesPeak; got != 0 {
+		t.Fatalf("nodes_peak = %d before a flush, want 0 (CountNodes is Control-local)", got)
+	}
+	c.Flush()
+	if got := counters.Load().NodesPeak; got != 9 {
+		t.Fatalf("nodes_peak = %d, want the peak 9", got)
+	}
+	c.CountNodes(5)
+	c.Flush()
+	if got := counters.Load().NodesPeak; got != 9 {
+		t.Fatalf("nodes_peak = %d after a smaller size, want 9", got)
+	}
+	if err := c.Tick(); err != nil {
+		t.Fatalf("Tick after CountNodes over MaxTreeNodes: %v, want nil", err)
+	}
+	if c.Canceled() {
+		t.Fatal("CountNodes tripped the node budget")
 	}
 }

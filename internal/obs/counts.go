@@ -21,7 +21,7 @@ type Counts struct {
 	Checks int64 `json:"checks"`
 	// NodesPeak is the largest repository size observed so far
 	// (prefix-tree nodes or stored sets; 0 for algorithms without a
-	// polled repository).
+	// repository, such as LCM).
 	NodesPeak int64 `json:"nodes_peak"`
 	// Isects counts tid-set kernel intersections started; zero for
 	// miners that do not run on the tidset kernels.

@@ -10,11 +10,11 @@ import (
 )
 
 // CFITree (closed frequent item set tree) is the repository used by the
-// FP-close style miners (and the Eclat closed target) to answer the
-// subsumption query "is there an already stored set Y ⊇ X with support s?"
-// — which, by the apriori property, is equivalent to supp(Y) ≥ s for
-// supersets Y of a set X with supp(X) = s. It follows the role of the
-// CFI-tree in Grahne & Zhu's FPclose.
+// FP-close style miners (fpclose, cobbler) and the maximal and subsume
+// filters to answer the subsumption query "is there an already stored
+// set Y ⊇ X with support s?" — which, by the apriori property, is
+// equivalent to supp(Y) ≥ s for supersets Y of a set X with supp(X) = s.
+// It follows the role of the CFI-tree in Grahne & Zhu's FPclose.
 //
 // Sets are stored along root-to-node paths with item codes strictly
 // ascending. Every node caches the maximum support of any terminal set in
@@ -22,8 +22,9 @@ import (
 // are kept sorted by ascending item, so the search visits them in order
 // and stops at the first child item above the one it needs.
 type CFITree struct {
-	root cfiNode
-	n    int
+	root  cfiNode
+	n     int
+	nodes int
 }
 
 type cfiNode struct {
@@ -44,7 +45,7 @@ type cfiChild struct {
 
 // child returns the child of node for item it, creating it in its sorted
 // position if it does not exist.
-func (node *cfiNode) child(it itemset.Item) *cfiNode {
+func (t *CFITree) child(node *cfiNode, it itemset.Item) *cfiNode {
 	i, found := slices.BinarySearchFunc(node.kids, it, func(c cfiChild, it itemset.Item) int {
 		return cmp.Compare(c.item, it)
 	})
@@ -53,11 +54,15 @@ func (node *cfiNode) child(it itemset.Item) *cfiNode {
 	}
 	next := &cfiNode{}
 	node.kids = slices.Insert(node.kids, i, cfiChild{it, next})
+	t.nodes++
 	return next
 }
 
 // Len returns the number of stored sets.
 func (t *CFITree) Len() int { return t.n }
+
+// NodeCount returns the number of tree nodes below the root.
+func (t *CFITree) NodeCount() int { return t.nodes }
 
 // Insert stores items with the given support. Items must be canonical.
 func (t *CFITree) Insert(items itemset.Set, support int) {
@@ -66,7 +71,7 @@ func (t *CFITree) Insert(items itemset.Set, support int) {
 		node.maxSupp = support
 	}
 	for _, it := range items {
-		node = node.child(it)
+		node = t.child(node, it)
 		if support > node.maxSupp {
 			node.maxSupp = support
 		}

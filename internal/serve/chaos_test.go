@@ -290,15 +290,28 @@ func TestChaosSlowAndHungClients(t *testing.T) {
 	defer hung.Close()
 
 	// Slow client: trickles a full request with a per-op delay and must
-	// still get an answer.
+	// still get an answer. Its last bytes wait until the healthy request
+	// below has answered: the server admits a /mine request only once its
+	// body is decoded, so a trickled request completing early would hold
+	// the single slot and shed the healthy one.
 	slow := faultinject.NewSlowConn(dial(), 2*time.Millisecond)
 	defer slow.Close()
+	healthyAnswered := make(chan struct{})
+	var answered sync.Once
+	releaseSlow := func() { answered.Do(func() { close(healthyAnswered) }) }
+	defer releaseSlow()
 	slowDone := make(chan string, 1)
 	go func() {
 		body := `{"transactions":[[0,1]],"minSupport":1}`
 		req := "POST /mine HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\n" +
 			"Content-Length: " + itoa(len(body)) + "\r\nConnection: close\r\n\r\n" + body
-		if _, err := io.WriteString(slow, req); err != nil {
+		head, tail := req[:len(req)-4], req[len(req)-4:]
+		if _, err := io.WriteString(slow, head); err != nil {
+			slowDone <- "write: " + err.Error()
+			return
+		}
+		<-healthyAnswered
+		if _, err := io.WriteString(slow, tail); err != nil {
 			slowDone <- "write: " + err.Error()
 			return
 		}
@@ -320,6 +333,7 @@ func TestChaosSlowAndHungClients(t *testing.T) {
 		t.Fatalf("healthy request alongside slow/hung clients: status %d, body %s",
 			resp.StatusCode, data)
 	}
+	releaseSlow()
 
 	if answer := <-slowDone; !strings.Contains(answer, "200 OK") {
 		t.Errorf("slow client answer: %q, want a 200", answer)

@@ -222,6 +222,47 @@ func (s *Set) AppendTids(dst []int32) []int32 {
 	}
 }
 
+// TidSum returns the sum of the set's tids. Together with Card it is a
+// cheap key of the tid set itself: equal sets have equal keys, so a key
+// lookup finds every stored set equal to this one (plus, rarely, sets
+// that only collide). It never materializes the set.
+func (s *Set) TidSum() int64 {
+	switch s.rep {
+	case Sparse:
+		return sumTids(s.tids)
+	case Dense:
+		// A word's tids are 64·wi plus its bit positions, and the
+		// positions sum to Σ_k 2^k·popcount(w & plane k), where plane k
+		// holds the positions with bit k set.
+		var base int64
+		var p0, p1, p2, p3, p4, p5 int
+		for wi, w := range s.words {
+			if w == 0 {
+				continue
+			}
+			base += int64(wi) * int64(bits.OnesCount64(w))
+			p0 += bits.OnesCount64(w & 0xAAAAAAAAAAAAAAAA)
+			p1 += bits.OnesCount64(w & 0xCCCCCCCCCCCCCCCC)
+			p2 += bits.OnesCount64(w & 0xF0F0F0F0F0F0F0F0)
+			p3 += bits.OnesCount64(w & 0xFF00FF00FF00FF00)
+			p4 += bits.OnesCount64(w & 0xFFFF0000FFFF0000)
+			p5 += bits.OnesCount64(w & 0xFFFFFFFF00000000)
+		}
+		return base<<6 + int64(p0) + int64(p1)<<1 + int64(p2)<<2 +
+			int64(p3)<<3 + int64(p4)<<4 + int64(p5)<<5
+	default: // Diff: the parent (always Sparse) minus the difference list.
+		return sumTids(s.parent.tids) - sumTids(s.tids)
+	}
+}
+
+func sumTids(tids []int32) int64 {
+	var sum int64
+	for _, t := range tids {
+		sum += int64(t)
+	}
+	return sum
+}
+
 // forEach visits the members in ascending order.
 func (s *Set) forEach(f func(int32)) {
 	switch s.rep {

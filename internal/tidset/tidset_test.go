@@ -342,3 +342,40 @@ func TestKernelStats(t *testing.T) {
 		t.Errorf("demotion did not count a switch: %+v", st)
 	}
 }
+
+// TestTidSum checks TidSum against the sum of AppendTids for every
+// representation: Sparse lists, Dense bitmaps (universes with a partial
+// last word, and the empty set) and Diff sets over a Sparse parent.
+func TestTidSum(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, n := range []int{0, 1, 63, 64, 65, 100, 1000, 4099} {
+		u := Universe{N: n}
+		for _, p := range []float64{0, 0.05, 0.5, 0.97, 1} {
+			parentTids := randomSubset(rng, n, p)
+			tids := []int32{}
+			for _, t := range parentTids {
+				if rng.Float64() < 0.8 {
+					tids = append(tids, t)
+				}
+			}
+			var want int64
+			for _, t := range tids {
+				want += int64(t)
+			}
+			parent := u.FromSorted(parentTids)
+			for _, r := range []Rep{Sparse, Dense, Diff} {
+				s := asRep(u, r, tids, &parent)
+				var got int64
+				for _, t := range s.AppendTids(nil) {
+					got += int64(t)
+				}
+				if got != want {
+					t.Fatalf("n=%d p=%v %v: AppendTids sums to %d, want %d", n, p, r, got, want)
+				}
+				if sum := s.TidSum(); sum != want {
+					t.Errorf("n=%d p=%v %v: TidSum = %d, want %d", n, p, r, sum, want)
+				}
+			}
+		}
+	}
+}

@@ -61,7 +61,8 @@ func checkMonotone(t *testing.T, events []ProgressEvent) {
 // progress enabled, snapshots are monotone, the final snapshot agrees
 // exactly with MiningStats on every counter, and the parallel run reports
 // the identical pattern set to the sequential one. Eclat runs on the
-// tid-set kernel, so its kernel counters must reach the events too.
+// tid-set kernel, so its kernel counters must reach the events too, and
+// eclat's and fpclose's closed-set repositories must reach nodes_peak.
 func TestProgressConformance(t *testing.T) {
 	restore := mining.SetCheckInterval(1)
 	defer restore()
@@ -76,7 +77,7 @@ func TestProgressConformance(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, algo := range []Algorithm{IsTa, EclatClosed} {
+	for _, algo := range []Algorithm{IsTa, EclatClosed, FPClose} {
 		for _, workers := range []int{0, 4} {
 			var log progressLog
 			var st MiningStats
@@ -104,6 +105,13 @@ func TestProgressConformance(t *testing.T) {
 			}
 			if algo == EclatClosed && (st.Isects == 0 || st.EarlyStops == 0) {
 				t.Fatalf("eclat workers=%d: kernel counters not collected: %+v", workers, st.Counts)
+			}
+			// The enumeration miners' repositories count as nodes_peak:
+			// eclat's closed index holds one entry per closed set, and
+			// fpclose's CFI-tree at least one node per stored set.
+			if algo == EclatClosed && st.NodesPeak != st.Patterns ||
+				algo == FPClose && (st.NodesPeak < st.Patterns || st.Patterns == 0) {
+				t.Fatalf("%s workers=%d: nodes_peak %d for %d closed sets", algo, workers, st.NodesPeak, st.Patterns)
 			}
 		}
 	}
