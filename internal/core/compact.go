@@ -16,16 +16,38 @@ func (t *Tree) Compact() {
 
 // relayout is the one maintenance pass behind Prune and Compact: it copies
 // the tree into the spare arena in preorder, pruning at minSupport (0: no
-// pruning), and swaps the two arenas. The root index follows the copy: the
-// old roots' entries are cleared first (the copy relinks old nodes it
-// merges), and the new roots' entries are set after it.
+// pruning), and swaps the two arenas. It walks the root list itself and
+// has copyList copy each kept root's subtree. The root index follows the
+// walk: a root the pass drops loses its entry, a kept root's entry moves
+// to its copy.
+//
+// The signatures follow it too. Pruning only removes nodes from a
+// subtree, so a root that was a root before the pass keeps its
+// signature. A root the pass lifts out of a pruned root (the old index
+// does not point at it) holds nodes of that root's subtree, possibly
+// merged with the old root of its item, so it gets all classes.
 func (t *Tree) relayout(remain []int, minSupport int32) {
-	for r := t.children; r != nil; r = r.sibling {
-		t.top[r.item] = nil
-	}
 	t.spare.reset()
-	t.children = t.copyList(t.children, remain, minSupport)
-	t.indexRoots()
+	var head *node
+	tail := &head
+	for n := t.children; n != nil; {
+		if minSupport > 0 && n.supp+int32(remain[n.item]) < minSupport {
+			t.top[n.item] = nil
+			n = merge(n.children, n.sibling)
+			continue
+		}
+		c := t.spare.alloc()
+		c.item, c.step, c.supp = n.item, n.step, n.supp
+		if t.top[n.item] != n {
+			*(*classSet)(t.sig[sigWords*n.item:]) = allClasses
+		}
+		t.top[n.item] = c
+		*tail = c
+		tail = &c.sibling
+		c.children = t.copyList(n.children, remain, minSupport)
+		n = n.sibling
+	}
+	t.children = head
 	t.arena, t.spare = t.spare, t.arena
 	t.laid = t.arena.live
 }

@@ -77,7 +77,7 @@ func NewTreeBuilder(items, step int) (*TreeBuilder, error) {
 	if step < 0 || step > math.MaxInt32 {
 		return nil, fmt.Errorf("core: step counter %d out of range", step)
 	}
-	// The root index is left to Finish (see there).
+	// The root index and signatures are left to Finish (see there).
 	t := &Tree{trans: make([]bool, items)}
 	b := &TreeBuilder{t: t, step: int32(step)}
 	b.tails = append(b.tails, &t.children)
@@ -137,11 +137,12 @@ func (b *TreeBuilder) Add(r NodeRecord) error {
 func (b *TreeBuilder) Nodes() int { return b.nodes }
 
 // Finish completes the rebuild and returns the tree. It derives the root
-// index from the rebuilt root list; the stream never carries it. Deriving
-// it here rather than per record keeps its 8 bytes per item unallocated
+// index and the root signatures from the rebuilt root list; the stream
+// carries neither. Deriving them here rather than per record keeps their
+// 72 bytes per item (8 for the index, 64 for the signatures) unallocated
 // until the caller has validated the whole stream (internal/persist calls
-// Finish only after the checksum matched), so a corrupt header declaring a
-// huge item universe costs no more than the membership flags.
+// Finish only after the checksum matched), so a corrupt header declaring
+// a huge item universe costs no more than the membership flags.
 func (b *TreeBuilder) Finish() (*Tree, error) {
 	if b.t == nil {
 		return nil, fmt.Errorf("core: builder already finished")
@@ -149,6 +150,8 @@ func (b *TreeBuilder) Finish() (*Tree, error) {
 	t := b.t
 	t.top = make([]*node, len(t.trans))
 	t.indexRoots()
+	t.sig = make([]uint64, sigWords*len(t.trans))
+	t.signRoots()
 	t.step = b.step
 	b.t = nil
 	return t, nil

@@ -108,15 +108,71 @@ func checkIndex(t *testing.T, tree *Tree) {
 	}
 }
 
+// checkRootSigs fails unless every root's signature is a superset of the
+// classes of its subtree, the root included: a missing class would let
+// isect skip a subtree that holds a transaction item.
+func checkRootSigs(t *testing.T, tree *Tree) {
+	t.Helper()
+	if len(tree.sig) != sigWords*tree.Items() {
+		t.Fatalf("signature table has %d words for %d items", len(tree.sig), tree.Items())
+	}
+	for r := tree.children; r != nil; r = r.sibling {
+		var exact classSet
+		exact[classWord(r.item)] |= classBit(r.item)
+		exact.add(r.children)
+		have := (*classSet)(tree.sig[sigWords*r.item:])
+		for w := range exact {
+			if miss := exact[w] &^ have[w]; miss != 0 {
+				t.Fatalf("root %d: signature word %d lacks classes %#x of its subtree", r.item, w, miss)
+			}
+		}
+	}
+}
+
+// sameNodes reports whether two sibling lists hold the same items, steps
+// and supports in the same shape: dump's comparison without rendering.
+func sameNodes(a, b *node) bool {
+	for ; a != nil && b != nil; a, b = a.sibling, b.sibling {
+		if a.item != b.item || a.step != b.step || a.supp != b.supp || !sameNodes(a.children, b.children) {
+			return false
+		}
+	}
+	return a == nil && b == nil
+}
+
+// sparseDB draws n rows of 2 to 15 items each (duplicates collapse) from
+// a universe of items, skewed toward the low codes so that rows share
+// items.
+func sparseDB(rng *rand.Rand, items, n int) *txdb.DB {
+	b := txdb.NewBuilder(n, 0)
+	b.SetNumItems(items)
+	for k := 0; k < n; k++ {
+		row := make([]itemset.Item, 2+rng.Intn(14))
+		for j := range row {
+			u := rng.Float64()
+			row[j] = itemset.Item(float64(items) * u * u)
+		}
+		b.AddSet(itemset.New(row...))
+	}
+	return b.Build()
+}
+
 // TestIsectMatchesListSearch: a tree grown through the root index holds
 // exactly the nodes, steps and supports of one grown by the list-scanning
 // reference, in the same sibling order, after every transaction and every
 // maintenance pass. It runs over random weighted databases, minsups
 // (including 1) and pass spacings (0: the Maintain trigger), on trees
-// past the maintenance threshold.
+// past the maintenance threshold. The reference never skips a root
+// subtree, so the sparse databases, whose universes of 200 to 1 000 items
+// leave most root subtrees without a transaction item, check the
+// signature skips against it. Their trials alternate between universes
+// of at most sigClasses items, where each class is one item, and larger
+// ones, where classes alias. They are fed without prep: rare items keep
+// high codes, so the roots of their sets fail the prune bound and lift
+// their children, which the signatures must survive.
 func TestIsectMatchesListSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(118))
-	largest, triggered := 0, 0
+	largest, triggered, sparseTriggered, skipped := 0, 0, 0, 0
 	for trial := 0; trial < 10; trial++ {
 		items := 8 + rng.Intn(40)
 		n := 10 + rng.Intn(30)
@@ -133,7 +189,7 @@ func TestIsectMatchesListSearch(t *testing.T) {
 		}
 		pre := prep.Prepare(db, minsup, prep.Config{Items: prep.OrderAscFreq, Trans: prep.OrderSizeAsc})
 		for _, every := range []int{0, 1, 3, 7} {
-			l, p := lockstepIndex(t, pre.DB, weights, minsup, every)
+			l, p, _ := lockstepIndex(t, pre.DB, weights, minsup, every)
 			largest, triggered = max(largest, l), triggered+p
 		}
 	}
@@ -141,14 +197,39 @@ func TestIsectMatchesListSearch(t *testing.T) {
 		t.Fatalf("largest tree %d nodes, %d triggered passes: never past the maintenance threshold %d",
 			largest, triggered, pruneMinNodes)
 	}
+	sparseTrials := 4
+	if testing.Short() {
+		sparseTrials = 2 // the list-scanning reference dominates, slowest under -race
+	}
+	for trial := 0; trial < sparseTrials; trial++ {
+		items := 200 + rng.Intn(sigClasses-199) // one class per item
+		if trial%2 == 1 {
+			items = sigClasses + 1 + rng.Intn(1000-sigClasses) // aliased classes
+		}
+		n := 300 + rng.Intn(300)
+		db := sparseDB(rng, items, n)
+		weights := make([]int, n)
+		for k := range weights {
+			weights[k] = 1 + rng.Intn(3)
+		}
+		minsup := 1 + trial%4
+		for _, every := range []int{0, 2, 5} {
+			_, p, s := lockstepIndex(t, db, weights, minsup, every)
+			sparseTriggered, skipped = sparseTriggered+p, skipped+s
+		}
+	}
+	if skipped == 0 || sparseTriggered == 0 {
+		t.Fatalf("sparse databases: %d skipped root subtrees, %d triggered passes", skipped, sparseTriggered)
+	}
 }
 
 // lockstepIndex feeds the same weighted transactions to an indexed tree
 // and to the list-scanning reference, running a Prune pass on both every
 // `every` transactions (0: whenever Maintain runs one on the indexed
 // tree), and checks that they agree after every step. It returns the
-// largest tree size and the number of passes Maintain triggered.
-func lockstepIndex(t *testing.T, pdb *txdb.DB, weights []int, minsup, every int) (largest, triggered int) {
+// largest tree size, the number of passes Maintain triggered and the
+// number of root subtrees the indexed tree skipped.
+func lockstepIndex(t *testing.T, pdb *txdb.DB, weights []int, minsup, every int) (largest, triggered, skipped int) {
 	t.Helper()
 	remain := make([]int, pdb.NumItems())
 	for k := 0; k < pdb.NumTx(); k++ {
@@ -160,7 +241,9 @@ func lockstepIndex(t *testing.T, pdb *txdb.DB, weights []int, minsup, every int)
 	same := func(when string, k int) {
 		t.Helper()
 		checkIndex(t, indexed)
-		if got, want := dump(indexed), dump(ref); got != want {
+		checkRootSigs(t, indexed)
+		if !sameNodes(indexed.children, ref.children) {
+			got, want := dump(indexed), dump(ref)
 			t.Fatalf("minsup %d, every %d, %s %d: indexed tree\n%s\nreference\n%s",
 				minsup, every, when, k, got, want)
 		}
@@ -198,12 +281,12 @@ func lockstepIndex(t *testing.T, pdb *txdb.DB, weights []int, minsup, every int)
 	if got, want := reported(indexed, minsup), reported(ref, minsup); got != want {
 		t.Fatalf("minsup %d, every %d: Report differs:\n%s\n%s", minsup, every, got, want)
 	}
-	return largest, triggered
+	return largest, triggered, indexed.skipped
 }
 
 // TestRootIndexRebuilt: a tree rebuilt from an export stream derives its
-// root index from the rebuilt root list, and a restored miner keeps it
-// exact as it goes on mining.
+// root index and signatures from the rebuilt root list, and a restored
+// miner keeps them exact and sound as it goes on mining.
 func TestRootIndexRebuilt(t *testing.T) {
 	stream := randomStream(14, 80, 118)
 	m := NewIncremental(14)
@@ -224,8 +307,10 @@ func TestRootIndexRebuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkIndex(t, tree)
+	checkRootSigs(t, tree)
 	resumed := RestoreIncremental(tree)
 	checkIndex(t, resumed.Tree())
+	checkRootSigs(t, resumed.Tree())
 	for _, tr := range stream[40:] {
 		if err := resumed.AddSet(tr); err != nil {
 			t.Fatal(err)
@@ -234,6 +319,7 @@ func TestRootIndexRebuilt(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkIndex(t, resumed.Tree())
+		checkRootSigs(t, resumed.Tree())
 		if got, want := dump(resumed.Tree()), dump(m.Tree()); got != want {
 			t.Fatalf("restored tree diverged:\n%s\nwant\n%s", got, want)
 		}

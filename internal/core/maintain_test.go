@@ -20,7 +20,7 @@ import (
 // and only drops the removed ones from the live count. refCompact then
 // rebuilds the tree in preorder into a fresh arena, as the separate
 // compaction did. Both assign the root list directly, so both rebuild the
-// root index from it.
+// root index and the root signatures from it.
 func refPrune(t *Tree, remain []int, minSupport int) {
 	if minSupport <= 1 {
 		return
@@ -29,10 +29,12 @@ func refPrune(t *Tree, remain []int, minSupport int) {
 	reindex(t)
 }
 
-// reindex rebuilds the root index from the root list.
+// reindex rebuilds the root index and the exact root signatures from the
+// root list.
 func reindex(t *Tree) {
 	clear(t.top)
 	t.indexRoots()
+	t.signRoots()
 }
 
 func refPruneList(t *Tree, list *node, remain []int, minSupport int32) *node {
@@ -189,6 +191,7 @@ func lockstep(t *testing.T, pdb *txdb.DB, weights []int, remain []int, minsup, e
 		}
 		checkPreorder(t, fused)
 		checkIndex(t, fused)
+		checkRootSigs(t, fused)
 	}
 	if got, want := reported(fused, minsup), reported(ref, minsup); got != want {
 		t.Fatalf("minsup %d: Report differs:\n%s\n%s", minsup, got, want)
@@ -276,7 +279,9 @@ func TestPruneLiftMergesEqualSibling(t *testing.T) {
 		t.Fatalf("NodeCount = %d, reference %d, want 5", tree.NodeCount(), ref.NodeCount())
 	}
 	checkPreorder(t, tree)
+	checkRootSigs(t, tree)
 	tree.AddTransaction(txs[2])
+	checkRootSigs(t, tree)
 	oracle, err := naive.ClosedByTransactionSubsets(db, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -43,7 +43,10 @@ type arena struct {
 	live   int // nodes handed out since the last reset
 }
 
-const arenaBlock = 8192
+// arenaBlock is the slab size in nodes. A finished run leaves the last
+// block of both arenas partly empty; at 2 048 nodes (80 KB) that slack is
+// a quarter of what 8 192 left, and perfbench's IsTa jobs did not slow.
+const arenaBlock = 2048
 
 // TestHookAlloc, when non-nil, is called with the arena's live node count
 // after every node allocation. It is a fault-injection seam
@@ -85,16 +88,29 @@ func (a *arena) reset() { a.cur, a.used, a.live = 0, 0, 0 }
 // it), and top is derived from it: it is set where a root node is created
 // (newRoot), rebuilt by relayout and derived by TreeBuilder.Finish, and it
 // is never serialized.
+//
+// sig holds a signature per root, indexed like top: bit c of
+// sig[sigWords*i:sigWords*(i+1)] set means that some node in the subtree
+// of root i, the root included, may carry an item of class c = item mod
+// sigClasses. A clear bit is a promise, a set bit only a maybe, so isect
+// may skip a root subtree whose signature shares no class with the
+// transaction: none of its nodes carries a transaction item, and the
+// pass would only descend through it. Every change to the tree keeps
+// the signatures supersets (see addWeighted, newRoot, isect and
+// relayout); TreeBuilder.Finish derives them exactly.
 type Tree struct {
-	children *node   // root's child list (the root represents the empty set)
-	top      []*node // top[i]: the node of item i in the root's child list, or nil
-	arena    arena   // holds every node of the tree
-	spare    arena   // target of the next maintenance pass (see Prune)
-	laid     int     // node count after the last Prune or Compact
-	trans    []bool  // membership flags of the current transaction (Fig. 2's trans[])
-	imin     int32   // lowest item code in the current transaction
-	step     int32   // current update step = number of transactions processed
-	weight   int32   // multiplicity of the current transaction (1 for AddTransaction)
+	children *node    // root's child list (the root represents the empty set)
+	top      []*node  // top[i]: the node of item i in the root's child list, or nil
+	sig      []uint64 // sig[sigWords*i:][:sigWords]: the classes root i's subtree may hold
+	arena    arena    // holds every node of the tree
+	spare    arena    // target of the next maintenance pass (see Prune)
+	laid     int      // node count after the last Prune or Compact
+	trans    []bool   // membership flags of the current transaction (Fig. 2's trans[])
+	mask     classSet // item classes of the current transaction
+	imin     int32    // lowest item code in the current transaction
+	step     int32    // current update step = number of transactions processed
+	weight   int32    // multiplicity of the current transaction (1 for AddTransaction)
+	skipped  int      // root subtrees isect skipped by their signature
 
 	// Cancellation support: a single intersection pass can stream over
 	// millions of nodes, so waiting for the pass to finish would make a
@@ -106,6 +122,24 @@ type Tree struct {
 	aborted bool
 	stack   []frame // isect's and copyList's pending lists
 }
+
+// Root signatures map item i to class i mod sigClasses, one bit in
+// sigWords words. Prep codes the kept items densely from 0, so on
+// universes of at most sigClasses items every class is one item.
+const (
+	sigWords   = 8
+	sigClasses = 64 * sigWords
+)
+
+// classSet is one root signature's bits, or a transaction's classes.
+type classSet [sigWords]uint64
+
+// allClasses is the signature that promises nothing.
+var allClasses = classSet{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
+
+// classWord and classBit locate item i's class in a signature.
+func classWord(i int32) int32 { return i >> 6 & (sigWords - 1) }
+func classBit(i int32) uint64 { return 1 << (i & 63) }
 
 const cancelInterval = 1 << 14
 
@@ -119,7 +153,7 @@ func (t *Tree) Aborted() bool { return t.aborted }
 
 // NewTree returns an empty tree over item codes 0..items-1.
 func NewTree(items int) *Tree {
-	return &Tree{trans: make([]bool, items), top: make([]*node, items)}
+	return &Tree{trans: make([]bool, items), top: make([]*node, items), sig: make([]uint64, sigWords*items)}
 }
 
 // NodeCount returns the number of live tree nodes (excluding the root).
@@ -157,13 +191,25 @@ func (t *Tree) addWeighted(items itemset.Set, weight int32) {
 	if len(items) == 0 {
 		return
 	}
+	var mask classSet
+	for _, it := range items {
+		t.trans[it] = true
+		mask[classWord(it)] |= classBit(it)
+	}
+	t.mask = mask
 
 	// Insert the transaction's path (descending item codes from the root):
-	// the root-level node through the index, the rest by list search.
+	// the root-level node through the index, the rest by list search. The
+	// path's items are the transaction's, so its classes join the root's
+	// signature.
 	hi := int32(items[len(items)-1])
 	c := t.top[hi]
 	if c == nil {
 		c = t.newRoot(hi)
+	}
+	s := (*classSet)(t.sig[sigWords*hi:])
+	for w := range s {
+		s[w] |= mask[w]
 	}
 	ins := &c.children
 	for i := len(items) - 2; i >= 0; i-- {
@@ -183,11 +229,8 @@ func (t *Tree) addWeighted(items itemset.Set, weight int32) {
 	}
 
 	// Intersection pass.
-	for _, it := range items {
-		t.trans[it] = true
-	}
 	t.imin = int32(items[0])
-	t.isect(t.children, nil)
+	t.isect()
 	for _, it := range items {
 		t.trans[it] = false
 	}
@@ -196,7 +239,7 @@ func (t *Tree) addWeighted(items itemset.Set, weight int32) {
 // newRoot creates the root-level node of item i, which must not exist
 // yet, and indexes it. It is spliced into the root list after the nearest
 // root node with a greater item, found through the index, so the list
-// stays in descending order.
+// stays in descending order. Its signature starts from its own class.
 func (t *Tree) newRoot(i int32) *node {
 	d := t.arena.alloc()
 	d.item = i
@@ -210,20 +253,52 @@ func (t *Tree) newRoot(i int32) *node {
 	d.sibling = *link
 	*link = d
 	t.top[i] = d
+	s := (*classSet)(t.sig[sigWords*i:])
+	*s = classSet{}
+	s[classWord(i)] = classBit(i)
 	return d
 }
 
-// isect is the recursive intersection procedure of Fig. 2, run as a loop
-// over an explicit stack of the sibling lists still to visit. n traverses
-// a sibling list of the existing tree; ins points at the link that holds
-// the list representing the intersection of the already processed part of
-// the transaction with the set represented by the path to n, i.e. where
-// nodes for extended intersections must be looked up or inserted. ins ==
-// nil stands for the root's child list (the intersection so far is
-// empty): there the node of an item is looked up in t.top instead of by
-// the list search of Fig. 2, and a missing one is created by newRoot.
-// Descending through a node whose item is not in the transaction keeps
-// ins unchanged, so nil stays nil until the first common item.
+// signRoots derives every root's signature exactly from its subtree.
+func (t *Tree) signRoots() {
+	for r := t.children; r != nil; r = r.sibling {
+		s := (*classSet)(t.sig[sigWords*r.item:])
+		*s = classSet{}
+		s[classWord(r.item)] |= classBit(r.item)
+		s.add(r.children)
+	}
+}
+
+// add sets the classes of every node in list and below it.
+func (s *classSet) add(list *node) {
+	for n := list; n != nil; n = n.sibling {
+		s[classWord(n.item)] |= classBit(n.item)
+		s.add(n.children)
+	}
+}
+
+// isect is the intersection procedure of Fig. 2. Its outer loop walks the
+// root list, which it reads through the root index and the signatures:
+// a root whose item is in the transaction matches itself; a root whose
+// signature shares no class with the transaction is skipped, subtree and
+// all, because descending through it would find no common item; and the
+// pass ends at the first root below the transaction's lowest item, as
+// Fig. 2's does. Any other root's subtree goes to the inner loop.
+//
+// The inner loop runs Fig. 2's recursion over an explicit stack of the
+// sibling lists still to visit. n traverses a sibling list of the
+// existing tree; ins points at the link that holds the list representing
+// the intersection of the already processed part of the transaction with
+// the set represented by the path to n, i.e. where nodes for extended
+// intersections must be looked up or inserted. ins == nil stands for the
+// root's child list (the intersection so far is empty): there the node of
+// an item is looked up in t.top instead of by the list search of Fig. 2,
+// and a missing one is created by newRoot. Descending through a node
+// whose item is not in the transaction keeps ins unchanged, so nil stays
+// nil until the first common item. Descending from a root-level match
+// takes that root's signature slot: every node the descent creates is in
+// its subtree and sets its class there. A frame popped with a non-nil
+// ins was pushed under the same root, so one slot suffices.
 //
 // Where Fig. 2 recurses into a node's children and then goes on with its
 // sibling, the loop pushes the sibling with its ins, descends, and pops
@@ -231,97 +306,130 @@ func (t *Tree) newRoot(i int32) *node {
 // and its register spills per descent. (A root that the descent creates
 // right behind the node is then not visited; visiting it would change
 // nothing, since it is its own intersection.)
-func (t *Tree) isect(n *node, ins **node) {
+func (t *Tree) isect() {
 	if t.aborted {
 		return // the tree is being abandoned
 	}
-	trans, top, imin, step, weight := t.trans, t.top, t.imin, t.step, t.weight
+	trans, top, sig, imin, step, weight := t.trans, t.top, t.sig, t.imin, t.step, t.weight
+	mask := &t.mask
 	stack := t.stack[:0]
-	for {
-		for n != nil {
-			if t.ticks--; t.ticks <= 0 {
-				t.ticks = cancelInterval
-				if t.cancel != nil && t.cancel() {
-					t.aborted = true
-					t.stack = stack
-					return
-				}
+	for r := t.children; r != nil && r.item >= imin; {
+		next := r.sibling
+		var n *node
+		var ins **node
+		var slot int32 // sig index of the root the descent creates nodes under
+		if i := r.item; trans[i] {
+			// The root matches itself (Fig. 2's update with d == n):
+			// count the transaction once.
+			if r.step != step {
+				r.supp += weight
+				r.step = step
 			}
-			i := n.item
-			if !trans[i] {
-				if i <= imin {
-					break // see below
+			if i == imin {
+				break
+			}
+			n, ins, slot = r.children, &r.children, sigWords*i
+		} else {
+			s := (*classSet)(sig[sigWords*i:])
+			if s[0]&mask[0]|s[1]&mask[1]|s[2]&mask[2]|s[3]&mask[3]|
+				s[4]&mask[4]|s[5]&mask[5]|s[6]&mask[6]|s[7]&mask[7] == 0 {
+				t.skipped++
+				r = next
+				continue
+			}
+			n = r.children
+		}
+		for {
+			for n != nil {
+				if t.ticks--; t.ticks <= 0 {
+					t.ticks = cancelInterval
+					if t.cancel != nil && t.cancel() {
+						t.aborted = true
+						t.stack = stack
+						return
+					}
 				}
-				// Item not in the intersection: descend without advancing
-				// the insertion position.
+				i := n.item
+				if !trans[i] {
+					if i <= imin {
+						break // see below
+					}
+					// Item not in the intersection: descend without
+					// advancing the insertion position.
+					if n.children != nil {
+						if n.sibling != nil {
+							stack = append(stack, frame{n.sibling, ins})
+						}
+						n = n.children
+						continue
+					}
+					n = n.sibling
+					continue
+				}
+				// The item is in the intersection: find or create the
+				// node for the extended intersection in the ins list.
+				var d *node
+				if ins == nil {
+					d = top[i]
+				} else {
+					for d = *ins; d != nil && d.item > i; d = *ins {
+						ins = &d.sibling
+					}
+					if d != nil && d.item != i {
+						d = nil
+					}
+				}
+				if d != nil {
+					// Existing node: update its support. If it was
+					// already updated in this step, discount the current
+					// transaction before taking the maximum (the step
+					// field acts as an incremental update flag).
+					if d.step >= step {
+						d.supp -= weight
+					}
+					if d.supp < n.supp {
+						d.supp = n.supp
+					}
+					d.supp += weight
+				} else {
+					if ins == nil {
+						d = t.newRoot(i)
+					} else {
+						d = t.arena.alloc()
+						d.item = i
+						d.sibling = *ins
+						*ins = d
+						sig[slot+classWord(i)] |= classBit(i)
+					}
+					d.supp = n.supp + weight
+				}
+				d.step = step
+				if i <= imin {
+					// No item below imin can be in the transaction, so
+					// neither deeper nodes nor later siblings (all of
+					// which carry lower codes) can contribute.
+					break
+				}
 				if n.children != nil {
 					if n.sibling != nil {
 						stack = append(stack, frame{n.sibling, ins})
 					}
-					n = n.children
+					if ins == nil {
+						slot = sigWords * i
+					}
+					n, ins = n.children, &d.children
 					continue
 				}
 				n = n.sibling
-				continue
 			}
-			// The item is in the intersection: find or create the node
-			// for the extended intersection in the ins list.
-			var d *node
-			if ins == nil {
-				d = top[i]
-			} else {
-				for d = *ins; d != nil && d.item > i; d = *ins {
-					ins = &d.sibling
-				}
-				if d != nil && d.item != i {
-					d = nil
-				}
-			}
-			if d != nil {
-				// Existing node: update its support. If it was already
-				// updated in this step, discount the current transaction
-				// before taking the maximum (the step field acts as an
-				// incremental update flag).
-				if d.step >= step {
-					d.supp -= weight
-				}
-				if d.supp < n.supp {
-					d.supp = n.supp
-				}
-				d.supp += weight
-			} else {
-				if ins == nil {
-					d = t.newRoot(i)
-				} else {
-					d = t.arena.alloc()
-					d.item = i
-					d.sibling = *ins
-					*ins = d
-				}
-				d.supp = n.supp + weight
-			}
-			d.step = step
-			if i <= imin {
-				// No item below imin can be in the transaction, so
-				// neither deeper nodes nor later siblings (all of which
-				// carry lower codes) can contribute.
+			if len(stack) == 0 {
 				break
 			}
-			if n.children != nil {
-				if n.sibling != nil {
-					stack = append(stack, frame{n.sibling, ins})
-				}
-				n, ins = n.children, &d.children
-				continue
-			}
-			n = n.sibling
+			f := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			n, ins = f.n, f.ins
 		}
-		if len(stack) == 0 {
-			break
-		}
-		f := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		n, ins = f.n, f.ins
+		r = next
 	}
 	t.stack = stack
 }
