@@ -21,13 +21,19 @@ func (t *Tree) Compact() {
 // walk: a root the pass drops loses its entry, a kept root's entry moves
 // to its copy.
 //
-// The signatures follow it too. Pruning only removes nodes from a
-// subtree, so a root that was a root before the pass keeps its
-// signature. A root the pass lifts out of a pruned root (the old index
-// does not point at it) holds nodes of that root's subtree, possibly
-// merged with the old root of its item, so it gets all classes.
+// The signatures go to the spare table, which is swapped in with the
+// spare arena. Pruning only removes nodes from a subtree, so a root that
+// was a root before the pass keeps its signature. A root the pass lifts
+// out of a pruned root (the old index does not point at it) holds nodes
+// of that root's subtree, possibly merged with the old root of its item,
+// so it gets all classes. The pass decides sparse afresh from the
+// transactions' mean class count and, while it is set, gives the depth-1
+// copies exact signatures from a walk of each fresh copy, which is laid
+// out in preorder.
 func (t *Tree) relayout(remain []int, minSupport int32) {
 	t.spare.reset()
+	t.spareSigs.reset()
+	t.sparse = t.sparseRows()
 	var head *node
 	tail := &head
 	for n := t.children; n != nil; {
@@ -38,19 +44,30 @@ func (t *Tree) relayout(remain []int, minSupport int32) {
 		}
 		c := t.spare.alloc()
 		c.item, c.step, c.supp = n.item, n.step, n.supp
-		if t.top[n.item] != n {
-			*(*classSet)(t.sig[sigWords*n.item:]) = allClasses
+		c.sig = t.spareSigs.add()
+		if s := t.spareSigs.at(c.sig); t.top[n.item] == n {
+			*s = *t.sigs.at(n.sig)
+		} else {
+			*s = allClasses
 		}
 		t.top[n.item] = c
 		*tail = c
 		tail = &c.sibling
 		c.children = t.copyList(n.children, remain, minSupport)
+		if t.sparse {
+			signList(&t.spareSigs, c.children)
+		}
 		n = n.sibling
 	}
 	t.children = head
 	t.arena, t.spare = t.spare, t.arena
+	t.sigs, t.spareSigs = t.spareSigs, t.sigs
 	t.laid = t.arena.live
 }
+
+// sparseRows reports whether the transactions so far have at most
+// sigClasses/16 classes on average, the rule for depth-1 signatures.
+func (t *Tree) sparseRows() bool { return t.classes <= t.rows*(sigClasses/16) }
 
 // indexRoots points the root index at every node of the root list.
 func (t *Tree) indexRoots() {

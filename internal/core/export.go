@@ -138,11 +138,13 @@ func (b *TreeBuilder) Nodes() int { return b.nodes }
 
 // Finish completes the rebuild and returns the tree. It derives the root
 // index and the root signatures from the rebuilt root list; the stream
-// carries neither. Deriving them here rather than per record keeps their
-// 72 bytes per item (8 for the index, 64 for the signatures) unallocated
-// until the caller has validated the whole stream (internal/persist calls
-// Finish only after the checksum matched), so a corrupt header declaring
-// a huge item universe costs no more than the membership flags.
+// carries neither. The index costs 8 bytes per item and the signatures 64
+// bytes per root, allocated here rather than per record, so that they
+// stay unallocated until the caller has validated the whole stream
+// (internal/persist calls Finish only after the checksum matched): a
+// corrupt header declaring a huge item universe costs no more than the
+// membership flags. A rebuilt tree starts with sparse unset; its first
+// maintenance pass decides it.
 func (b *TreeBuilder) Finish() (*Tree, error) {
 	if b.t == nil {
 		return nil, fmt.Errorf("core: builder already finished")
@@ -150,8 +152,7 @@ func (b *TreeBuilder) Finish() (*Tree, error) {
 	t := b.t
 	t.top = make([]*node, len(t.trans))
 	t.indexRoots()
-	t.sig = make([]uint64, sigWords*len(t.trans))
-	t.signRoots()
+	t.sign()
 	t.step = b.step
 	b.t = nil
 	return t, nil

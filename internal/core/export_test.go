@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/itemset"
@@ -144,5 +145,45 @@ func TestBuilderRejectsInvalid(t *testing.T) {
 		if !failed {
 			t.Errorf("%s: builder accepted an invalid stream", tc.name)
 		}
+	}
+}
+
+// TestTreeBytesPerItem: a tree over a large declared universe costs at
+// most 16 bytes per item, empty or finished by a TreeBuilder: the
+// membership flags and the root index are per item, the signatures only
+// per node that has one (internal/persist accepts universes up to
+// MaxItems).
+func TestTreeBytesPerItem(t *testing.T) {
+	const items = 1 << 22
+	perItem := func(build func() *Tree) float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		tree := build()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(tree)
+		return float64(after.TotalAlloc-before.TotalAlloc) / items
+	}
+	if got := perItem(func() *Tree { return NewTree(items) }); got > 16 {
+		t.Fatalf("NewTree: %.1f bytes per item, want at most 16", got)
+	}
+	got := perItem(func() *Tree {
+		b, err := NewTreeBuilder(items, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range []NodeRecord{{0, items - 1, 1, 2}, {1, 7, 1, 2}, {2, 3, 1, 2}, {0, 5, 3, 1}} {
+			if err := b.Add(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tree, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	})
+	if got > 16 {
+		t.Fatalf("TreeBuilder: %.1f bytes per item, want at most 16", got)
 	}
 }

@@ -108,25 +108,67 @@ func checkIndex(t *testing.T, tree *Tree) {
 	}
 }
 
-// checkRootSigs fails unless every root's signature is a superset of the
-// classes of its subtree, the root included: a missing class would let
-// isect skip a subtree that holds a transaction item.
-func checkRootSigs(t *testing.T, tree *Tree) {
+// checkSigs fails unless the signatures are sound and in their place:
+// every root has an entry; a depth-1 node has one only while sparse is
+// set; no deeper node has one; no two nodes share one; and every entry is
+// a superset of the classes below its node, whose absence would let isect
+// skip a subtree that holds a transaction item. It returns the number of
+// depth-1 entries.
+func checkSigs(t *testing.T, tree *Tree) (depth1 int) {
 	t.Helper()
-	if len(tree.sig) != sigWords*tree.Items() {
-		t.Fatalf("signature table has %d words for %d items", len(tree.sig), tree.Items())
-	}
-	for r := tree.children; r != nil; r = r.sibling {
-		var exact classSet
-		exact[classWord(r.item)] |= classBit(r.item)
-		exact.add(r.children)
-		have := (*classSet)(tree.sig[sigWords*r.item:])
-		for w := range exact {
-			if miss := exact[w] &^ have[w]; miss != 0 {
-				t.Fatalf("root %d: signature word %d lacks classes %#x of its subtree", r.item, w, miss)
+	taken := make([]bool, tree.sigs.n)
+	// walk returns the classes of list and below it, checking the
+	// signatures of its nodes, which are at the given depth.
+	var walk func(list *node, depth int) classSet
+	walk = func(list *node, depth int) classSet {
+		var all classSet
+		for n := list; n != nil; n = n.sibling {
+			below := walk(n.children, depth+1)
+			all.set(n.item)
+			all.or(&below)
+			switch {
+			case n.sig == 0 && depth == 0:
+				t.Fatalf("root %d has no signature", n.item)
+			case n.sig == 0:
+				continue
+			case depth > 1:
+				t.Fatalf("node %d at depth %d has signature entry %d", n.item, depth, n.sig)
+			case depth == 1 && !tree.sparse:
+				t.Fatalf("depth-1 node %d has signature entry %d while sparse is unset", n.item, n.sig)
+			case n.sig < 1 || n.sig >= tree.sigs.n || taken[n.sig]:
+				t.Fatalf("node %d: signature entry %d taken or outside [1,%d)", n.item, n.sig, tree.sigs.n)
+			}
+			taken[n.sig] = true
+			if depth == 1 {
+				depth1++
+			}
+			have := tree.sigs.at(n.sig)
+			for w := range below {
+				if miss := below[w] &^ have[w]; miss != 0 {
+					t.Fatalf("node %d: signature word %d lacks classes %#x of its subtree", n.item, w, miss)
+				}
 			}
 		}
+		return all
 	}
+	walk(tree.children, 0)
+	return depth1
+}
+
+// depth1Sigs lists the depth-1 signatures in preorder, the zero set for a
+// node without one.
+func depth1Sigs(tree *Tree) []classSet {
+	var out []classSet
+	for r := tree.children; r != nil; r = r.sibling {
+		for c := r.children; c != nil; c = c.sibling {
+			var s classSet
+			if c.sig != 0 {
+				s = *tree.sigs.at(c.sig)
+			}
+			out = append(out, s)
+		}
+	}
+	return out
 }
 
 // sameNodes reports whether two sibling lists hold the same items, steps
@@ -162,17 +204,20 @@ func sparseDB(rng *rand.Rand, items, n int) *txdb.DB {
 // reference, in the same sibling order, after every transaction and every
 // maintenance pass. It runs over random weighted databases, minsups
 // (including 1) and pass spacings (0: the Maintain trigger), on trees
-// past the maintenance threshold. The reference never skips a root
-// subtree, so the sparse databases, whose universes of 200 to 1 000 items
-// leave most root subtrees without a transaction item, check the
-// signature skips against it. Their trials alternate between universes
-// of at most sigClasses items, where each class is one item, and larger
-// ones, where classes alias. They are fed without prep: rare items keep
-// high codes, so the roots of their sets fail the prune bound and lift
-// their children, which the signatures must survive.
+// past the maintenance threshold. The reference never skips a subtree,
+// so the sparse databases, whose universes of 200 to 1 000 items leave
+// most subtrees without a transaction item, check the signature skips
+// against it: their rows have few classes, so the passes give depth-1
+// nodes signatures, and isect must skip by them. Their trials alternate
+// between universes of at most sigClasses items, where each class is one
+// item, and larger ones, where classes alias. They are fed without prep:
+// rare items keep high codes, so the roots of their sets fail the prune
+// bound and lift their children, which the signatures must survive. The
+// wide databases' rows have more than sigClasses/16 classes, so no pass
+// may give a depth-1 node a signature.
 func TestIsectMatchesListSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(118))
-	largest, triggered, sparseTriggered, skipped := 0, 0, 0, 0
+	var small, sparse, wide lockstepStats
 	for trial := 0; trial < 10; trial++ {
 		items := 8 + rng.Intn(40)
 		n := 10 + rng.Intn(30)
@@ -189,13 +234,12 @@ func TestIsectMatchesListSearch(t *testing.T) {
 		}
 		pre := prep.Prepare(db, minsup, prep.Config{Items: prep.OrderAscFreq, Trans: prep.OrderSizeAsc})
 		for _, every := range []int{0, 1, 3, 7} {
-			l, p, _ := lockstepIndex(t, pre.DB, weights, minsup, every)
-			largest, triggered = max(largest, l), triggered+p
+			small.add(lockstepIndex(t, pre.DB, weights, minsup, every))
 		}
 	}
-	if largest <= pruneMinNodes || triggered == 0 {
+	if small.largest <= pruneMinNodes || small.triggered == 0 {
 		t.Fatalf("largest tree %d nodes, %d triggered passes: never past the maintenance threshold %d",
-			largest, triggered, pruneMinNodes)
+			small.largest, small.triggered, pruneMinNodes)
 	}
 	sparseTrials := 4
 	if testing.Short() {
@@ -214,22 +258,52 @@ func TestIsectMatchesListSearch(t *testing.T) {
 		}
 		minsup := 1 + trial%4
 		for _, every := range []int{0, 2, 5} {
-			_, p, s := lockstepIndex(t, db, weights, minsup, every)
-			sparseTriggered, skipped = sparseTriggered+p, skipped+s
+			sparse.add(lockstepIndex(t, db, weights, minsup, every))
 		}
 	}
-	if skipped == 0 || sparseTriggered == 0 {
-		t.Fatalf("sparse databases: %d skipped root subtrees, %d triggered passes", skipped, sparseTriggered)
+	if sparse.skipped == 0 || sparse.skipped1 == 0 || sparse.triggered == 0 || sparse.depth1 == 0 {
+		t.Fatalf("sparse databases: %d skipped root and %d skipped depth-1 subtrees, %d triggered passes, at most %d depth-1 signatures",
+			sparse.skipped, sparse.skipped1, sparse.triggered, sparse.depth1)
 	}
+	for trial := 0; trial < 3; trial++ {
+		items := 56 + rng.Intn(16)
+		n := 8 + rng.Intn(3)
+		db := randDB(rng, items, n, 0.6+rng.Float64()*0.2)
+		weights := make([]int, n)
+		for k := range weights {
+			weights[k] = 1 + rng.Intn(3)
+		}
+		minsup := 1 + trial
+		pre := prep.Prepare(db, minsup, prep.Config{Items: prep.OrderAscFreq, Trans: prep.OrderSizeAsc})
+		for _, every := range []int{1, 3} {
+			wide.add(lockstepIndex(t, pre.DB, weights, minsup, every))
+		}
+	}
+	if wide.depth1 != 0 || wide.passes == 0 {
+		t.Fatalf("wide databases: %d depth-1 signatures after %d passes", wide.depth1, wide.passes)
+	}
+}
+
+// lockstepStats sums what lockstepIndex saw of the indexed tree: its
+// largest size, the passes (and those Maintain triggered), the root and
+// depth-1 subtrees isect skipped, and the most depth-1 signatures held.
+type lockstepStats struct {
+	largest, passes, triggered, skipped, skipped1, depth1 int
+}
+
+func (s *lockstepStats) add(o lockstepStats) {
+	s.largest, s.depth1 = max(s.largest, o.largest), max(s.depth1, o.depth1)
+	s.passes += o.passes
+	s.triggered += o.triggered
+	s.skipped += o.skipped
+	s.skipped1 += o.skipped1
 }
 
 // lockstepIndex feeds the same weighted transactions to an indexed tree
 // and to the list-scanning reference, running a Prune pass on both every
 // `every` transactions (0: whenever Maintain runs one on the indexed
-// tree), and checks that they agree after every step. It returns the
-// largest tree size, the number of passes Maintain triggered and the
-// number of root subtrees the indexed tree skipped.
-func lockstepIndex(t *testing.T, pdb *txdb.DB, weights []int, minsup, every int) (largest, triggered, skipped int) {
+// tree), and checks that they agree after every step.
+func lockstepIndex(t *testing.T, pdb *txdb.DB, weights []int, minsup, every int) (st lockstepStats) {
 	t.Helper()
 	remain := make([]int, pdb.NumItems())
 	for k := 0; k < pdb.NumTx(); k++ {
@@ -241,7 +315,7 @@ func lockstepIndex(t *testing.T, pdb *txdb.DB, weights []int, minsup, every int)
 	same := func(when string, k int) {
 		t.Helper()
 		checkIndex(t, indexed)
-		checkRootSigs(t, indexed)
+		st.depth1 = max(st.depth1, checkSigs(t, indexed))
 		if !sameNodes(indexed.children, ref.children) {
 			got, want := dump(indexed), dump(ref)
 			t.Fatalf("minsup %d, every %d, %s %d: indexed tree\n%s\nreference\n%s",
@@ -257,7 +331,7 @@ func lockstepIndex(t *testing.T, pdb *txdb.DB, weights []int, minsup, every int)
 		indexed.AddWeighted(tx, w)
 		refAddWeighted(ref, tx, int32(w))
 		same("transaction", k)
-		largest = max(largest, indexed.NodeCount())
+		st.largest = max(st.largest, indexed.NodeCount())
 		for _, i := range tx {
 			remain[i] -= w
 		}
@@ -269,19 +343,21 @@ func lockstepIndex(t *testing.T, pdb *txdb.DB, weights []int, minsup, every int)
 				continue
 			}
 			ref.Prune(remain, minsup)
-			triggered++
+			st.triggered++
 		case (k+1)%every == 0:
 			indexed.Prune(remain, minsup)
 			ref.Prune(remain, minsup)
 		default:
 			continue
 		}
+		st.passes++
 		same("pass after transaction", k)
 	}
 	if got, want := reported(indexed, minsup), reported(ref, minsup); got != want {
 		t.Fatalf("minsup %d, every %d: Report differs:\n%s\n%s", minsup, every, got, want)
 	}
-	return largest, triggered, indexed.skipped
+	st.skipped, st.skipped1 = indexed.skipped, indexed.skipped1
+	return st
 }
 
 // TestRootIndexRebuilt: a tree rebuilt from an export stream derives its
@@ -307,10 +383,10 @@ func TestRootIndexRebuilt(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkIndex(t, tree)
-	checkRootSigs(t, tree)
+	checkSigs(t, tree)
 	resumed := RestoreIncremental(tree)
 	checkIndex(t, resumed.Tree())
-	checkRootSigs(t, resumed.Tree())
+	checkSigs(t, resumed.Tree())
 	for _, tr := range stream[40:] {
 		if err := resumed.AddSet(tr); err != nil {
 			t.Fatal(err)
@@ -319,7 +395,7 @@ func TestRootIndexRebuilt(t *testing.T) {
 			t.Fatal(err)
 		}
 		checkIndex(t, resumed.Tree())
-		checkRootSigs(t, resumed.Tree())
+		checkSigs(t, resumed.Tree())
 		if got, want := dump(resumed.Tree()), dump(m.Tree()); got != want {
 			t.Fatalf("restored tree diverged:\n%s\nwant\n%s", got, want)
 		}

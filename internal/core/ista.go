@@ -14,6 +14,15 @@ import (
 // fit below it.
 const IsTaAllocBudget = 3 << 20
 
+// IsTaSparseAllocBudget is the checked-in budget, in bytes, for one engine
+// run of "ista" over 2 000 Quest baskets (1 000 items, rows of 10 items on
+// average, 200 patterns) at minsup 3 (TestMineSparseAllocs and its CI step
+// enforce it). Its rows are sparse, so the depth-1 nodes get signatures:
+// both signature tables, grown in fixed blocks and recycled like the
+// arenas, fit below it with the arenas and the report (1.8 MB); a table
+// grown by appending, or a fresh one per maintenance pass, does not.
+const IsTaSparseAllocBudget = 2 << 20
+
 // Intersect is IsTa's pass loop (§3.2), the one every IsTa engine runs:
 // it intersects the rows of db, in order and at their weights, into a
 // fresh prefix tree. With prune set, remain[i] holds the weight of item i

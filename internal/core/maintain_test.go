@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ import (
 // and only drops the removed ones from the live count. refCompact then
 // rebuilds the tree in preorder into a fresh arena, as the separate
 // compaction did. Both assign the root list directly, so both rebuild the
-// root index and the root signatures from it.
+// root index and the signatures from it.
 func refPrune(t *Tree, remain []int, minSupport int) {
 	if minSupport <= 1 {
 		return
@@ -29,12 +30,13 @@ func refPrune(t *Tree, remain []int, minSupport int) {
 	reindex(t)
 }
 
-// reindex rebuilds the root index and the exact root signatures from the
-// root list.
+// reindex rebuilds the root index from the root list and every signature
+// exactly from the tree, under the rule relayout applies.
 func reindex(t *Tree) {
 	clear(t.top)
 	t.indexRoots()
-	t.signRoots()
+	t.sparse = t.sparseRows()
+	t.sign()
 }
 
 func refPruneList(t *Tree, list *node, remain []int, minSupport int32) *node {
@@ -160,7 +162,8 @@ func checkPreorder(t *testing.T, tree *Tree) {
 // lockstep feeds the same weighted transactions to a tree maintained by
 // Prune and to one maintained by the reference prune and compaction,
 // passing every `every` transactions, and checks after each pass and at
-// the end that both trees agree.
+// the end that both trees agree. The pass gives the depth-1 nodes exact
+// signatures, so they must equal the ones reindex derives.
 func lockstep(t *testing.T, pdb *txdb.DB, weights []int, remain []int, minsup, every int) {
 	t.Helper()
 	fused, ref := NewTree(pdb.NumItems()), NewTree(pdb.NumItems())
@@ -191,7 +194,11 @@ func lockstep(t *testing.T, pdb *txdb.DB, weights []int, remain []int, minsup, e
 		}
 		checkPreorder(t, fused)
 		checkIndex(t, fused)
-		checkRootSigs(t, fused)
+		checkSigs(t, fused)
+		checkSigs(t, ref)
+		if !slices.Equal(depth1Sigs(fused), depth1Sigs(ref)) {
+			t.Fatalf("minsup %d, pass %d: depth-1 signatures differ from the exact ones", minsup, passes)
+		}
 	}
 	if got, want := reported(fused, minsup), reported(ref, minsup); got != want {
 		t.Fatalf("minsup %d: Report differs:\n%s\n%s", minsup, got, want)
@@ -279,9 +286,9 @@ func TestPruneLiftMergesEqualSibling(t *testing.T) {
 		t.Fatalf("NodeCount = %d, reference %d, want 5", tree.NodeCount(), ref.NodeCount())
 	}
 	checkPreorder(t, tree)
-	checkRootSigs(t, tree)
+	checkSigs(t, tree)
 	tree.AddTransaction(txs[2])
-	checkRootSigs(t, tree)
+	checkSigs(t, tree)
 	oracle, err := naive.ClosedByTransactionSubsets(db, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -354,12 +361,9 @@ func TestMaintainMinSupportOneLargeTree(t *testing.T) {
 	}
 }
 
-// TestMineAllocs pins IsTaAllocBudget: the bytes one IsTa run allocates
-// over a fixed Figure 5 stand-in. The two recycled arenas stay far below
-// it; a fresh arena per maintenance pass allocates several times over.
-func TestMineAllocs(t *testing.T) {
-	db := gendata.Yeast(0.1, 1)
-	const minsup = 14
+// allocs returns the fewest bytes of three IsTa runs over db at minsup.
+func allocs(t *testing.T, db *txdb.DB, minsup int) uint64 {
+	t.Helper()
 	best := uint64(1 << 62)
 	for run := 0; run < 3; run++ {
 		var before, after runtime.MemStats
@@ -371,8 +375,35 @@ func TestMineAllocs(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		best = min(best, after.TotalAlloc-before.TotalAlloc)
 	}
+	return best
+}
+
+// TestMineAllocs pins IsTaAllocBudget: the bytes one IsTa run allocates
+// over a fixed Figure 5 stand-in. The two recycled arenas stay far below
+// it; a fresh arena per maintenance pass allocates several times over.
+func TestMineAllocs(t *testing.T) {
+	db := gendata.Yeast(0.1, 1)
+	const minsup = 14
+	best := allocs(t, db, minsup)
 	t.Logf("ista: %d bytes on Yeast(0.1) at minsup %d (budget %d)", best, minsup, IsTaAllocBudget)
 	if best > IsTaAllocBudget {
 		t.Fatalf("ista allocated %d bytes, budget %d", best, IsTaAllocBudget)
+	}
+}
+
+// TestMineSparseAllocs pins IsTaSparseAllocBudget: the bytes one IsTa run
+// allocates over sparse baskets, where the depth-1 nodes get signatures.
+// The signature tables grow in fixed blocks and are recycled with the
+// arenas; a table grown by appending (2.5 MB), or a fresh one per
+// maintenance pass (3.2 MB), allocates past the budget.
+func TestMineSparseAllocs(t *testing.T) {
+	db := gendata.Quest(gendata.QuestConfig{
+		Items: 1000, Transactions: 2000, AvgLen: 10, Patterns: 200, AvgPatternLen: 4, Seed: 1,
+	})
+	const minsup = 3
+	best := allocs(t, db, minsup)
+	t.Logf("ista: %d bytes on Quest baskets at minsup %d (budget %d)", best, minsup, IsTaSparseAllocBudget)
+	if best > IsTaSparseAllocBudget {
+		t.Fatalf("ista allocated %d bytes, budget %d", best, IsTaSparseAllocBudget)
 	}
 }

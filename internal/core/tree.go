@@ -8,6 +8,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"repro/internal/itemset"
 )
 
@@ -25,6 +27,7 @@ type node struct {
 	item     int32 // associated item (last in the represented set)
 	step     int32 // most recent update step (transaction index + 1)
 	supp     int32 // support of the represented item set
+	sig      int32 // entry in the tree's signature table; 0: none
 	sibling  *node // successor in the sibling list (descending items)
 	children *node // head of the child list
 }
@@ -89,28 +92,36 @@ func (a *arena) reset() { a.cur, a.used, a.live = 0, 0, 0 }
 // (newRoot), rebuilt by relayout and derived by TreeBuilder.Finish, and it
 // is never serialized.
 //
-// sig holds a signature per root, indexed like top: bit c of
-// sig[sigWords*i:sigWords*(i+1)] set means that some node in the subtree
-// of root i, the root included, may carry an item of class c = item mod
-// sigClasses. A clear bit is a promise, a set bit only a maybe, so isect
-// may skip a root subtree whose signature shares no class with the
-// transaction: none of its nodes carries a transaction item, and the
-// pass would only descend through it. Every change to the tree keeps
-// the signatures supersets (see addWeighted, newRoot, isect and
-// relayout); TreeBuilder.Finish derives them exactly.
+// sigs holds subtree signatures, one per node that has an entry
+// (node.sig != 0): bit c of an entry set means that some node below that
+// node may carry an item of class c = item mod sigClasses. A clear bit is
+// a promise, a set bit only a maybe, so isect may skip a subtree whose
+// signature shares no class with the transaction: nothing below the node
+// carries a transaction item, and the pass would only descend through it.
+// Every root has an entry. The roots' children (depth-1 nodes) get
+// entries too, but only while sparse is set: on rows with many classes
+// their signatures fill up and the test costs more than it skips. Every
+// change to the tree keeps the signatures supersets (see addWeighted,
+// newRoot, isect and relayout); relayout recomputes the depth-1 ones
+// exactly and TreeBuilder.Finish derives the roots' exactly.
 type Tree struct {
-	children *node    // root's child list (the root represents the empty set)
-	top      []*node  // top[i]: the node of item i in the root's child list, or nil
-	sig      []uint64 // sig[sigWords*i:][:sigWords]: the classes root i's subtree may hold
-	arena    arena    // holds every node of the tree
-	spare    arena    // target of the next maintenance pass (see Prune)
-	laid     int      // node count after the last Prune or Compact
-	trans    []bool   // membership flags of the current transaction (Fig. 2's trans[])
-	mask     classSet // item classes of the current transaction
-	imin     int32    // lowest item code in the current transaction
-	step     int32    // current update step = number of transactions processed
-	weight   int32    // multiplicity of the current transaction (1 for AddTransaction)
-	skipped  int      // root subtrees isect skipped by their signature
+	children  *node    // root's child list (the root represents the empty set)
+	top       []*node  // top[i]: the node of item i in the root's child list, or nil
+	sigs      sigTable // the entries node.sig indexes
+	spareSigs sigTable // target of the next maintenance pass, like spare
+	arena     arena    // holds every node of the tree
+	spare     arena    // target of the next maintenance pass (see Prune)
+	laid      int      // node count after the last Prune or Compact
+	trans     []bool   // membership flags of the current transaction (Fig. 2's trans[])
+	mask      classSet // item classes of the current transaction
+	imin      int32    // lowest item code in the current transaction
+	step      int32    // current update step = number of transactions processed
+	weight    int32    // multiplicity of the current transaction (1 for AddTransaction)
+	rows      int      // nonempty transactions added
+	classes   int      // their classes, summed: rows*sigClasses/16 or less makes sparse
+	sparse    bool     // depth-1 nodes get signatures; decided by relayout
+	skipped   int      // root subtrees isect skipped by their signature
+	skipped1  int      // depth-1 subtrees isect skipped by their signature
 
 	// Cancellation support: a single intersection pass can stream over
 	// millions of nodes, so waiting for the pass to finish would make a
@@ -123,23 +134,82 @@ type Tree struct {
 	stack   []frame // isect's and copyList's pending lists
 }
 
-// Root signatures map item i to class i mod sigClasses, one bit in
-// sigWords words. Prep codes the kept items densely from 0, so on
-// universes of at most sigClasses items every class is one item.
+// Signatures map item i to class i mod sigClasses, one bit in sigWords
+// words. Prep codes the kept items densely from 0, so on universes of at
+// most sigClasses items every class is one item.
 const (
 	sigWords   = 8
 	sigClasses = 64 * sigWords
 )
 
-// classSet is one root signature's bits, or a transaction's classes.
+// classSet is one signature's bits, or a transaction's classes.
 type classSet [sigWords]uint64
 
 // allClasses is the signature that promises nothing.
 var allClasses = classSet{^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0), ^uint64(0)}
 
-// classWord and classBit locate item i's class in a signature.
-func classWord(i int32) int32 { return i >> 6 & (sigWords - 1) }
-func classBit(i int32) uint64 { return 1 << (i & 63) }
+// set adds item i's class.
+func (s *classSet) set(i int32) { s[i>>6&(sigWords-1)] |= 1 << (i & 63) }
+
+// or adds the classes of o.
+func (s *classSet) or(o *classSet) {
+	for w := range s {
+		s[w] |= o[w]
+	}
+}
+
+// misses reports whether s and m share no class.
+func (s *classSet) misses(m *classSet) bool {
+	var x uint64
+	for w := range s {
+		x |= s[w] & m[w]
+	}
+	return x == 0
+}
+
+// add sets the classes of every node in list and below it.
+func (s *classSet) add(list *node) {
+	for n := list; n != nil; n = n.sibling {
+		s.set(n.item)
+		s.add(n.children)
+	}
+}
+
+// sigTable is a table of signatures indexed by node.sig. It grows in
+// fixed blocks of sigBlock entries, which never move, so a pointer to an
+// entry stays valid while the table grows. Entry 0 stands for "no
+// signature" and is never handed out. Like the arenas, a table is only
+// filled: a maintenance pass fills the spare table, the two swap, and the
+// one left is reset and reused.
+type sigTable struct {
+	blocks [][]classSet
+	n      int32 // entries handed out, entry 0 included
+}
+
+// sigBlock is the table's block size in entries (8 KB), small next to
+// the arenas' blocks because a table holds a few entries per hundred
+// nodes or, with sparse rows, about one per four.
+const (
+	sigShift = 7
+	sigBlock = 1 << sigShift
+)
+
+// at returns entry e.
+func (s *sigTable) at(e int32) *classSet { return &s.blocks[e>>sigShift][e&(sigBlock-1)] }
+
+// add hands out an empty entry.
+func (s *sigTable) add() int32 {
+	e := max(s.n, 1)
+	if int(e>>sigShift) == len(s.blocks) {
+		s.blocks = append(s.blocks, make([]classSet, sigBlock))
+	}
+	s.n = e + 1
+	*s.at(e) = classSet{}
+	return e
+}
+
+// reset empties the table, keeping its blocks.
+func (s *sigTable) reset() { s.n = 1 }
 
 const cancelInterval = 1 << 14
 
@@ -153,7 +223,7 @@ func (t *Tree) Aborted() bool { return t.aborted }
 
 // NewTree returns an empty tree over item codes 0..items-1.
 func NewTree(items int) *Tree {
-	return &Tree{trans: make([]bool, items), top: make([]*node, items), sig: make([]uint64, sigWords*items)}
+	return &Tree{trans: make([]bool, items), top: make([]*node, items)}
 }
 
 // NodeCount returns the number of live tree nodes (excluding the root).
@@ -191,41 +261,58 @@ func (t *Tree) addWeighted(items itemset.Set, weight int32) {
 	if len(items) == 0 {
 		return
 	}
-	var mask classSet
-	for _, it := range items {
+	// The path's nodes below depth 1 carry the items items[:lo].
+	lo := max(len(items)-2, 0)
+	var below classSet
+	for _, it := range items[:lo] {
 		t.trans[it] = true
-		mask[classWord(it)] |= classBit(it)
+		below.set(it)
+	}
+	mask := below
+	for _, it := range items[lo:] {
+		t.trans[it] = true
+		mask.set(it)
 	}
 	t.mask = mask
+	t.rows++
+	for _, w := range mask {
+		t.classes += bits.OnesCount64(w)
+	}
 
 	// Insert the transaction's path (descending item codes from the root):
 	// the root-level node through the index, the rest by list search. The
-	// path's items are the transaction's, so its classes join the root's
-	// signature.
+	// path's items below the root join the root's signature, those below
+	// depth 1 the depth-1 node's.
 	hi := int32(items[len(items)-1])
 	c := t.top[hi]
 	if c == nil {
 		c = t.newRoot(hi)
 	}
-	s := (*classSet)(t.sig[sigWords*hi:])
-	for w := range s {
-		s[w] |= mask[w]
-	}
+	s := t.sigs.at(c.sig)
+	s.or(&below)
 	ins := &c.children
 	for i := len(items) - 2; i >= 0; i-- {
 		it := int32(items[i])
 		for *ins != nil && (*ins).item > it {
 			ins = &(*ins).sibling
 		}
-		if c := *ins; c != nil && c.item == it {
-			ins = &c.children
-			continue
+		c := *ins
+		if c == nil || c.item != it {
+			c = t.arena.alloc()
+			c.item = it
+			c.sibling = *ins
+			*ins = c
+			if i == lo && t.sparse {
+				c.sig = t.sigs.add()
+			}
 		}
-		n := t.arena.alloc()
-		n.item = it
-		n.sibling = *ins
-		*ins = n
-		ins = &n.children
+		if i == lo {
+			s.set(it)
+			if c.sig != 0 {
+				t.sigs.at(c.sig).or(&below)
+			}
+		}
+		ins = &c.children
 	}
 
 	// Intersection pass.
@@ -239,7 +326,7 @@ func (t *Tree) addWeighted(items itemset.Set, weight int32) {
 // newRoot creates the root-level node of item i, which must not exist
 // yet, and indexes it. It is spliced into the root list after the nearest
 // root node with a greater item, found through the index, so the list
-// stays in descending order. Its signature starts from its own class.
+// stays in descending order. Its signature starts empty.
 func (t *Tree) newRoot(i int32) *node {
 	d := t.arena.alloc()
 	d.item = i
@@ -253,27 +340,32 @@ func (t *Tree) newRoot(i int32) *node {
 	d.sibling = *link
 	*link = d
 	t.top[i] = d
-	s := (*classSet)(t.sig[sigWords*i:])
-	*s = classSet{}
-	s[classWord(i)] = classBit(i)
+	d.sig = t.sigs.add()
 	return d
 }
 
-// signRoots derives every root's signature exactly from its subtree.
-func (t *Tree) signRoots() {
+// sign derives every signature exactly from the tree: each root's and,
+// while sparse is set, each depth-1 node's.
+func (t *Tree) sign() {
+	t.sigs.reset()
+	signList(&t.sigs, t.children)
 	for r := t.children; r != nil; r = r.sibling {
-		s := (*classSet)(t.sig[sigWords*r.item:])
-		*s = classSet{}
-		s[classWord(r.item)] |= classBit(r.item)
-		s.add(r.children)
+		if t.sparse {
+			signList(&t.sigs, r.children)
+			continue
+		}
+		for c := r.children; c != nil; c = c.sibling {
+			c.sig = 0
+		}
 	}
 }
 
-// add sets the classes of every node in list and below it.
-func (s *classSet) add(list *node) {
+// signList gives every node of list a new entry in tab holding exactly
+// the classes below it.
+func signList(tab *sigTable, list *node) {
 	for n := list; n != nil; n = n.sibling {
-		s[classWord(n.item)] |= classBit(n.item)
-		s.add(n.children)
+		n.sig = tab.add()
+		tab.at(n.sig).add(n.children)
 	}
 }
 
@@ -295,10 +387,22 @@ func (s *classSet) add(list *node) {
 // an item is looked up in t.top instead of by the list search of Fig. 2,
 // and a missing one is created by newRoot. Descending through a node
 // whose item is not in the transaction keeps ins unchanged, so nil stays
-// nil until the first common item. Descending from a root-level match
-// takes that root's signature slot: every node the descent creates is in
-// its subtree and sets its class there. A frame popped with a non-nil
-// ins was pushed under the same root, so one slot suffices.
+// nil until the first common item.
+//
+// A node of the inner loop that has a signature (a depth-1 node) is
+// tested like a root: one whose signature misses the transaction is not
+// descended into, whether it matched or not, since nothing below it can.
+//
+// The signatures that a created node joins follow ins. Descending from a
+// root-level match takes that root's entry: every node the descent
+// creates is below it. A frame popped with a non-nil ins was pushed under
+// the same root, so one entry suffices. Descending from a match in a
+// root's child list takes the depth-1 node's entry as deep and marks the
+// stack height in h2: frames above the mark were pushed below that node,
+// so a pop below the mark clears it, and the mark tells the two apart
+// without a level in every frame. A node created while the mark is set
+// joins deep as well; one created in a root's child list is a depth-1
+// node and gets an entry of its own while sparse is set.
 //
 // Where Fig. 2 recurses into a node's children and then goes on with its
 // sibling, the loop pushes the sibling with its ins, descends, and pops
@@ -310,14 +414,15 @@ func (t *Tree) isect() {
 	if t.aborted {
 		return // the tree is being abandoned
 	}
-	trans, top, sig, imin, step, weight := t.trans, t.top, t.sig, t.imin, t.step, t.weight
+	trans, top, imin, step, weight, sparse := t.trans, t.top, t.imin, t.step, t.weight, t.sparse
 	mask := &t.mask
 	stack := t.stack[:0]
+	var none classSet // deep's target below a depth-1 node without an entry
 	for r := t.children; r != nil && r.item >= imin; {
 		next := r.sibling
 		var n *node
 		var ins **node
-		var slot int32 // sig index of the root the descent creates nodes under
+		var root *classSet // signature of the root the descent creates nodes under
 		if i := r.item; trans[i] {
 			// The root matches itself (Fig. 2's update with d == n):
 			// count the transaction once.
@@ -328,17 +433,16 @@ func (t *Tree) isect() {
 			if i == imin {
 				break
 			}
-			n, ins, slot = r.children, &r.children, sigWords*i
+			n, ins, root = r.children, &r.children, t.sigs.at(r.sig)
 		} else {
-			s := (*classSet)(sig[sigWords*i:])
-			if s[0]&mask[0]|s[1]&mask[1]|s[2]&mask[2]|s[3]&mask[3]|
-				s[4]&mask[4]|s[5]&mask[5]|s[6]&mask[6]|s[7]&mask[7] == 0 {
+			if t.sigs.at(r.sig).misses(mask) {
 				t.skipped++
 				r = next
 				continue
 			}
 			n = r.children
 		}
+		deep, h2 := &none, -1 // no mark: the walk inserts above depth 2
 		for {
 			for n != nil {
 				if t.ticks--; t.ticks <= 0 {
@@ -357,6 +461,11 @@ func (t *Tree) isect() {
 					// Item not in the intersection: descend without
 					// advancing the insertion position.
 					if n.children != nil {
+						if n.sig != 0 && t.sigs.at(n.sig).misses(mask) {
+							t.skipped1++
+							n = n.sibling
+							continue
+						}
 						if n.sibling != nil {
 							stack = append(stack, frame{n.sibling, ins})
 						}
@@ -399,7 +508,12 @@ func (t *Tree) isect() {
 						d.item = i
 						d.sibling = *ins
 						*ins = d
-						sig[slot+classWord(i)] |= classBit(i)
+						root.set(i)
+						if h2 >= 0 {
+							deep.set(i)
+						} else if sparse {
+							d.sig = t.sigs.add()
+						}
 					}
 					d.supp = n.supp + weight
 				}
@@ -411,11 +525,22 @@ func (t *Tree) isect() {
 					break
 				}
 				if n.children != nil {
+					if n.sig != 0 && t.sigs.at(n.sig).misses(mask) {
+						t.skipped1++
+						n = n.sibling
+						continue
+					}
 					if n.sibling != nil {
 						stack = append(stack, frame{n.sibling, ins})
 					}
-					if ins == nil {
-						slot = sigWords * i
+					switch {
+					case ins == nil:
+						root = t.sigs.at(d.sig)
+					case h2 < 0 && sparse:
+						deep, h2 = &none, len(stack)
+						if d.sig != 0 {
+							deep = t.sigs.at(d.sig)
+						}
 					}
 					n, ins = n.children, &d.children
 					continue
@@ -428,6 +553,9 @@ func (t *Tree) isect() {
 			f := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			n, ins = f.n, f.ins
+			if len(stack) < h2 {
+				h2 = -1
+			}
 		}
 		r = next
 	}

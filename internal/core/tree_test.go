@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"unsafe"
 
 	"repro/internal/itemset"
 )
@@ -204,5 +205,13 @@ func TestArenaManyBlocks(t *testing.T) {
 	}
 	if a.live != 3*arenaBlock {
 		t.Fatalf("live = %d", a.live)
+	}
+}
+
+// TestNodeSize: the signature entry index sits in the padding after the
+// three int32 fields, so a node stays 32 bytes, two to a cache line.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 32 {
+		t.Fatalf("node is %d bytes, want 32", got)
 	}
 }

@@ -36,11 +36,11 @@ const (
 	// MaxItems caps the item universe a decoder accepts. The tree's
 	// transaction-membership scratch array is allocated eagerly from
 	// this value, so it must be bounded before any input is trusted.
-	// Its root index and 64-byte-per-item root signature table are
-	// allocated only once the checksum matched; together they take 72
-	// bytes per item, 4.5 GiB at the cap. The largest data set the
-	// paper mines (thrombin) has 139,351 items, leaving three orders of
-	// magnitude of headroom.
+	// Its 8-byte-per-item root index is allocated only once the
+	// checksum matched; with the flags a tree takes 9 bytes per item,
+	// 576 MiB at the cap. Its signatures take 64 bytes per root, not per
+	// declared item. The largest data set the paper mines (thrombin) has
+	// 139,351 items, leaving three orders of magnitude of headroom.
 	MaxItems = 1 << 26
 )
 
